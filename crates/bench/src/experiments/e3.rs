@@ -25,6 +25,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "dense d*k",
             "space saving",
             "MPC rounds",
+            "fjlt:project words",
             "max |seq−mpc|",
         ],
     );
@@ -37,7 +38,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             let seq = f.apply(&ps);
             let report = distortion_report(&ps, &seq);
             let dense = params.k * params.d_pad;
-            // MPC run (capacity sized for the WHT classes + P fan-out).
+            // MPC run (capacity sized for one WHT super-round).
             let cap = (8 * n * params.d_pad / 4).max(1 << 14);
             let mut rt = Runtime::builder()
                 .config(MpcConfig::explicit(n * d, cap, 8).with_threads(4).lenient())
@@ -60,6 +61,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
                 dense.to_string(),
                 format!("{:.1}x", dense as f64 / f.projection_nnz().max(1) as f64),
                 rt.metrics().rounds().to_string(),
+                rt.metrics().words_labeled("fjlt:project").to_string(),
                 fnum(max_diff),
             ]);
         }
@@ -76,10 +78,15 @@ mod tests {
         let tables = run(Scale::quick());
         let t = &tables[0];
         for row in &t.rows {
-            let diff: f64 = row[10].parse().unwrap();
+            let diff: f64 = row[11].parse().unwrap();
             assert!(diff < 1e-8, "seq/mpc divergence {diff}");
             let rounds: usize = row[9].parse().unwrap();
             assert!(rounds <= 12, "rounds {rounds}");
+            // One WHT super-round: the combined projection round sends
+            // at most one 2-word record per (point, output row).
+            let (n, k): (usize, usize) = (row[0].parse().unwrap(), row[3].parse().unwrap());
+            let words: usize = row[10].parse().unwrap();
+            assert!(words <= 2 * n * k, "fjlt:project words {words}");
         }
     }
 }

@@ -9,13 +9,14 @@
 //! * [`mpc`] — the paper's constant-round, sublinear-memory MPC
 //!   implementation (Algorithm 3): `D` applied pointwise, `H` via a
 //!   butterfly-grouped distributed WHT (`O(1/ε)` super-rounds), `P` via
-//!   sparse fan-out and distributed aggregation;
+//!   a sender-side combiner and distributed aggregation;
 //! * [`audit`] — distortion reports comparing embedded to original
 //!   pairwise distances.
 //!
 //! Both implementations derive `D` and `P` from the same seed with the
 //! same counter streams, so the MPC transform computes the *same map*
-//! as the sequential one (up to float summation order) — tested.
+//! as the sequential one (bit for bit when the WHT takes one
+//! super-round, up to float summation order otherwise) — tested.
 
 pub mod audit;
 pub mod dense;

@@ -11,21 +11,29 @@
 //!    all index bits outside the group (one shuffle round), applies the
 //!    `b` stages locally, and re-emits. `⌈log₂(d)/b⌉ = O(1/ε)` rounds —
 //!    the same schedule as the MPC FFT of \[45\] that the paper invokes;
-//! 3. **P** — every coordinate fans out to the nonzeros of `P`'s column
-//!    (regenerated locally from the seed), and contributions are summed
-//!    by destination coordinate (one shuffle round + local fold);
+//! 3. **P** — a combiner on the sending machine: for each point it
+//!    holds, a machine sums `P[i][j]·x_j` over its coordinates `j` and
+//!    sends one record per output row `i` it touched; the receiver adds
+//!    the partial sums by destination coordinate (one shuffle round +
+//!    local fold). `P` is derived from the seed, built once per call and
+//!    read by every machine through shared state; like the seed, it is
+//!    not metered. The round sends at most `2·n·k` words per WHT class
+//!    of a point (Theorem 3's `O(n·k)`);
 //! 4. **gather** — output records are collected into a `k`-dimensional
 //!    [`PointSet`].
 //!
 //! With the same [`FjltParams`], this computes the *same linear map* as
-//! [`crate::fjlt::Fjlt`] (exactly for `D`/`H`; `P`'s additions may
-//! reassociate, giving `≈1e-12` relative differences).
+//! [`crate::fjlt::Fjlt`]. When the WHT runs in one super-round, each
+//! point's coordinates sit on one machine and are summed in the order of
+//! `CscMatrix::mul_vec`, so the output is bit-identical. With several
+//! super-rounds a point's coordinates may be split across machines, and
+//! adding their partial sums reassociates (differences well below the
+//! tested `1e-9`).
 
 use crate::fjlt::FjltParams;
-use std::collections::HashMap;
 use treeemb_geom::PointSet;
 use treeemb_linalg::random::mix2;
-use treeemb_linalg::sparse::fjlt_projection_column;
+use treeemb_linalg::sparse::fjlt_projection;
 use treeemb_mpc::{MpcError, MpcResult, Runtime, Words};
 
 /// One coordinate of one point in transit.
@@ -145,28 +153,38 @@ pub fn fjlt_mpc(rt: &mut Runtime, ps: &PointSet, params: &FjltParams) -> MpcResu
     }
     drop(wht_sp);
 
-    // Phase P: sparse fan-out + aggregation.
+    // Phase P: sender-side combine + aggregation. The round closure
+    // owns `P`; every machine reads it by shared reference.
     let project_sp = treeemb_obs::span!("fjlt.project");
-    let p_p = *params;
-    let routed = rt.round("fjlt:project", dist, move |_, shard, em| {
-        // Per-machine column cache: distinct idx values repeat across
-        // points on the same machine.
-        let mut cache: HashMap<u32, Vec<(u32, f64)>> = HashMap::new();
-        for r in shard {
-            let col = cache.entry(r.idx).or_insert_with(|| {
-                fjlt_projection_column(p_p.k, p_p.d_pad, p_p.q, p_p.p_seed(), r.idx as usize)
-            });
-            for &(i, pij) in col.iter() {
-                let key = ((r.pt as u64) << 32) | i as u64;
-                let dest = (mix2(key, 0x9B0B) % m as u64) as usize;
-                em.send(
-                    dest,
-                    Coord {
-                        pt: r.pt,
-                        idx: i,
-                        val: pij * r.val,
-                    },
-                );
+    let proj = fjlt_projection(params.k, params.d_pad, params.q, params.p_seed());
+    let k = params.k;
+    let routed = rt.round("fjlt:project", dist, move |_, mut shard, em| {
+        // One run per point, coordinates ascending: the order in which
+        // `CscMatrix::mul_vec` adds, so a point held whole by one
+        // machine sums bit-identically to the sequential transform.
+        shard.sort_unstable_by_key(|r| (r.pt, r.idx));
+        // `None` marks a row no coordinate of the point touched.
+        let mut acc: Vec<Option<f64>> = vec![None; k];
+        for run in shard.chunk_by(|a, b| a.pt == b.pt) {
+            let pt = run[0].pt;
+            for r in run {
+                for (i, pij) in proj.column(r.idx as usize) {
+                    *acc[i as usize].get_or_insert(0.0) += pij * r.val;
+                }
+            }
+            for (i, row) in acc.iter_mut().enumerate() {
+                if let Some(val) = row.take() {
+                    let key = ((pt as u64) << 32) | i as u64;
+                    let dest = (mix2(key, 0x9B0B) % m as u64) as usize;
+                    em.send(
+                        dest,
+                        Coord {
+                            pt,
+                            idx: i as u32,
+                            val,
+                        },
+                    );
+                }
             }
         }
         Vec::new()
@@ -207,9 +225,17 @@ mod tests {
     use treeemb_mpc::MpcConfig;
 
     fn runtime(cap: usize, machines: usize) -> Runtime {
+        runtime_threads(cap, machines, 4)
+    }
+
+    fn runtime_threads(cap: usize, machines: usize, threads: usize) -> Runtime {
         Runtime::builder()
-            .config(MpcConfig::explicit(1 << 16, cap, machines).with_threads(4))
+            .config(MpcConfig::explicit(1 << 16, cap, machines).with_threads(threads))
             .build()
+    }
+
+    fn bits(ps: &PointSet) -> Vec<u64> {
+        ps.iter().flatten().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -252,6 +278,61 @@ mod tests {
     }
 
     #[test]
+    fn one_super_round_is_bit_identical_to_sequential() {
+        let ps = generators::uniform_cube(12, 64, 256, 3);
+        let params = FjltParams::explicit(64, 8, 0.5, 42);
+        let seq = bits(&Fjlt::new(params).apply(&ps));
+        for machines in [1usize, 3, 16] {
+            for threads in [1usize, 4] {
+                let mut rt = runtime_threads(1 << 14, machines, threads);
+                let par = fjlt_mpc(&mut rt, &ps, &params).unwrap();
+                assert_eq!(rt.metrics().rounds_labeled("fjlt:wht"), 1);
+                assert_eq!(bits(&par), seq, "machines {machines} threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn several_super_rounds_stay_close_and_thread_invariant() {
+        let ps = generators::uniform_cube(12, 64, 256, 3);
+        let params = FjltParams::explicit(64, 8, 0.5, 42);
+        let seq = Fjlt::new(params).apply(&ps);
+        let mut outs = Vec::new();
+        for threads in [1usize, 4] {
+            // Capacity 64 groups 3 bits per super-round: two rounds.
+            let mut rt = runtime_threads(64, 256, threads);
+            let par = fjlt_mpc(&mut rt, &ps, &params).unwrap();
+            assert!(rt.metrics().rounds_labeled("fjlt:wht") > 1);
+            for (a, b) in seq.iter().flatten().zip(par.iter().flatten()) {
+                assert!((a - b).abs() <= 1e-9 * (1.0 + a.abs()), "{a} vs {b}");
+            }
+            outs.push(bits(&par));
+        }
+        assert_eq!(outs[0], outs[1]);
+    }
+
+    #[test]
+    fn project_round_sends_at_most_n_k_records_per_wht_class() {
+        // Theorem 3: after combining, the projection round carries
+        // O(n·k) words — one `Coord` (2 words) per point, output row and
+        // WHT class of the point (the last super-round's classes each
+        // hold `2^b` coordinates of one point).
+        let (n, d, k) = (32usize, 64usize, 8usize);
+        let ps = generators::uniform_cube(n, d, 256, 8);
+        let params = FjltParams::explicit(d, k, 0.5, 4);
+        // Capacity 64 groups the 6 index bits as 3 + 3: 8 classes.
+        for (cap, classes) in [(1usize << 14, 1usize), (64, 8)] {
+            let mut rt = runtime(cap, 512);
+            let _ = fjlt_mpc(&mut rt, &ps, &params).unwrap();
+            let words = rt.metrics().words_labeled("fjlt:project");
+            assert!(
+                words <= 2 * n * k * classes,
+                "cap {cap}: {words} words > 2·{n}·{k}·{classes}"
+            );
+        }
+    }
+
+    #[test]
     fn round_count_is_constant_in_n() {
         let params = FjltParams::explicit(32, 8, 0.5, 1);
         let mut rounds = Vec::new();
@@ -269,15 +350,8 @@ mod tests {
     fn wht_rounds_shrink_with_capacity() {
         let ps = generators::uniform_cube(8, 64, 128, 2);
         let params = FjltParams::explicit(64, 8, 0.5, 3);
-        // Lenient: this test only cares about WHT round counts, and the
-        // P fan-out legitimately overloads a 64-word machine.
-        let mut small = Runtime::builder()
-            .config(
-                MpcConfig::explicit(1 << 16, 64, 64)
-                    .with_threads(4)
-                    .lenient(),
-            )
-            .build();
+        // Strict capacity: the combined projection round fits too.
+        let mut small = runtime(64, 64);
         let _ = fjlt_mpc(&mut small, &ps, &params).unwrap();
         let mut big = runtime(1 << 14, 64);
         let _ = fjlt_mpc(&mut big, &ps, &params).unwrap();

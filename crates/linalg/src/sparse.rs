@@ -102,8 +102,8 @@ impl CscMatrix {
 /// with probability `1 − q` and `N(0, q⁻¹)` otherwise (paper §5).
 ///
 /// Entries are derived from `(seed, flat index)` counter streams, so any
-/// machine holding the seed can regenerate any column on demand — this
-/// is how the MPC implementation avoids materializing `P` globally.
+/// machine holding the seed can regenerate any column on demand; the
+/// MPC implementation builds `P` once per run and shares it read-only.
 pub fn fjlt_projection(k: usize, d: usize, q: f64, seed: u64) -> CscMatrix {
     let mut cols = Vec::with_capacity(d);
     for j in 0..d {
