@@ -8,6 +8,9 @@
 //! cargo run --release -p treeemb-bench --bin snapshot -- --trace-out trace.json
 //! ```
 //!
+//! A flag without its value, or an unknown flag, prints the usage line
+//! and exits with status 2 before anything is measured or written.
+//!
 //! The pairs measured:
 //!
 //! * `partition_keys` — exact `HybridLevel::assign` (materializes
@@ -31,6 +34,7 @@ use std::time::Instant;
 use treeemb_fjlt::audit::distortion_report_parallel;
 use treeemb_geom::generators;
 use treeemb_linalg::wht::{wht_inplace, wht_stages_inplace};
+use treeemb_obs::json::escape;
 use treeemb_partition::ids::StructuralHash;
 use treeemb_partition::HybridLevel;
 
@@ -60,23 +64,32 @@ fn measure(id: &str, samples: usize, mut f: impl FnMut()) -> Entry {
     }
 }
 
+const USAGE: &str = "usage: snapshot [--quick] [--out FILE] [--trace-out FILE]";
+
+/// Prints `msg` and the usage line, then exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("snapshot: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_1.json".to_string());
-    // `--trace-out PATH` arms span collection (same effect as
-    // TREEEMB_TRACE=PATH in the environment).
-    if let Some(trace) = args
-        .iter()
-        .position(|a| a == "--trace-out")
-        .and_then(|i| args.get(i + 1))
-    {
-        treeemb_obs::set_trace_path(trace);
+    let mut quick = false;
+    let mut out = "BENCH_1.json".to_string();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .filter(|v| !v.starts_with("--"))
+                .unwrap_or_else(|| usage_error(&format!("{arg} needs a value")))
+        };
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--out" => out = value(),
+            // Arms span collection (same effect as TREEEMB_TRACE=PATH
+            // in the environment).
+            "--trace-out" => treeemb_obs::set_trace_path(value()),
+            other => usage_error(&format!("unknown argument {other:?}")),
+        }
     }
     let samples = if quick { 5 } else { 15 };
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
@@ -238,7 +251,6 @@ fn main() {
         pair("audit_pairs", base, opt, &mut entries);
     }
 
-    // Hand-rolled JSON (the workspace builds without serde).
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"BENCH_1\",\n");
     let _ = writeln!(
@@ -250,14 +262,16 @@ fn main() {
     for (i, e) in entries.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"id\": \"{}\", \"median_ns\": {}, \"samples\": {}}}",
-            e.id, e.median_ns, e.samples
+            "    {{\"id\": {}, \"median_ns\": {}, \"samples\": {}}}",
+            escape(&e.id),
+            e.median_ns,
+            e.samples
         );
         json.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
     }
     json.push_str("  ],\n  \"speedups\": {\n");
     for (i, (name, s)) in speedups.iter().enumerate() {
-        let _ = write!(json, "    \"{name}\": {s:.3}");
+        let _ = write!(json, "    {}: {s:.3}", escape(name));
         json.push_str(if i + 1 < speedups.len() { ",\n" } else { "\n" });
     }
     json.push_str("  }\n}\n");

@@ -19,6 +19,7 @@ use treeemb_fjlt::mpc::fjlt_mpc;
 use treeemb_geom::generators;
 use treeemb_mpc::fault::{shrink_plan, FaultEvent, FaultPlan, FaultRates, FaultSpec};
 use treeemb_mpc::{FaultKind, Runtime};
+use treeemb_obs::json;
 
 /// Which pipeline stage a chaos check drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -499,8 +500,7 @@ pub fn shrink_failure(row: &SweepRow) -> FaultPlan {
     shrink_plan(&base, fails)
 }
 
-/// Renders sweep rows as a JSON report (hand-rolled; no serde in the
-/// workspace).
+/// Renders sweep rows as a JSON report.
 pub fn report_json(rows: &[SweepRow]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("{\n  \"rows\": [\n");
@@ -520,31 +520,11 @@ pub fn report_json(rows: &[SweepRow]) -> String {
             row.hetero,
             verdict,
             row.outcome.faults,
-            json_string(&detail),
+            json::escape(&detail),
             if i + 1 == rows.len() { "" } else { "," }
         );
     }
     out.push_str("  ]\n}\n");
-    out
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -590,7 +570,7 @@ mod tests {
             },
         }];
         let text = report_json(&rows);
-        let parsed = treeemb_mpc::fault::json::parse(&text).expect("report must parse");
+        let parsed = json::parse(&text).expect("report must parse");
         let arr = parsed.get("rows").unwrap().as_arr().unwrap();
         assert_eq!(arr.len(), 1);
         assert_eq!(arr[0].get("verdict").unwrap().as_str(), Some("typed_error"));

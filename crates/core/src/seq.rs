@@ -148,7 +148,7 @@ impl SeqEmbedder {
     /// expected distortion `O(√(d·r)·logΔ)`). Single-threaded; see
     /// [`Self::embed_parallel`].
     pub fn embed(&self, ps: &PointSet, seed: u64) -> Result<Embedding, EmbedError> {
-        self.embed_with_threads(ps, seed, 1)
+        self.embed_parallel(ps, seed, 1)
     }
 
     /// [`Self::embed`] with all point assignments computed concurrently
@@ -161,21 +161,9 @@ impl SeqEmbedder {
         seed: u64,
         threads: usize,
     ) -> Result<Embedding, EmbedError> {
-        self.embed_with_threads(ps, seed, threads.max(1))
-    }
-
-    fn embed_with_threads(
-        &self,
-        ps: &PointSet,
-        seed: u64,
-        threads: usize,
-    ) -> Result<Embedding, EmbedError> {
-        if exact_keys_requested() {
-            return self.embed_exact_keys(ps, seed, threads);
-        }
         let padded = ps.zero_pad(self.params.dim);
         let levels = self.build_levels(seed);
-        let tree = self.packed_hierarchy(&padded, &levels, threads)?;
+        let tree = self.packed_hierarchy(&padded, &levels, threads.max(1))?;
         Ok(Embedding {
             tree,
             method: "hybrid",
@@ -188,7 +176,6 @@ impl SeqEmbedder {
     /// of packed 128-bit hashes. Produces the identical tree (unless a
     /// ~2⁻¹²⁸-probability hash collision separates the paths); kept
     /// callable for verification and for the kernel snapshot bench.
-    /// Setting `TREEEMB_EXACT_KEYS=1` routes [`Self::embed`] here too.
     pub fn embed_exact_keys(
         &self,
         ps: &PointSet,
@@ -250,9 +237,8 @@ impl SeqEmbedder {
         )
     }
 
-    /// The exact-key verification path (`TREEEMB_EXACT_KEYS=1`): groups
-    /// by the materialized per-bucket lattice cells instead of packed
-    /// hashes. Kept for debugging hash-collision suspicions; the
+    /// The exact-key verification path: groups by the materialized
+    /// per-bucket lattice cells instead of packed hashes. Kept for debugging hash-collision suspicions; the
     /// `exact_and_packed_paths_build_identical_trees` test pins the two
     /// paths together.
     fn exact_hierarchy(
@@ -294,13 +280,6 @@ impl SeqEmbedder {
             |level| self.params.tail_weight(level),
         )
     }
-}
-
-/// True when `TREEEMB_EXACT_KEYS` selects the exact-key verification
-/// path (any value other than `0`; parsed through the single
-/// [`treeemb_mpc::config::from_env`] override layer).
-fn exact_keys_requested() -> bool {
-    treeemb_mpc::config::from_env().exact_keys.unwrap_or(false)
 }
 
 /// Which bucket failed to cover `p` (diagnostic for coverage errors).

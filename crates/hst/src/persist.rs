@@ -7,6 +7,7 @@
 
 use crate::builder::{from_edge_list, EdgeRec, HstError};
 use crate::tree::Hst;
+use treeemb_obs::json;
 
 /// One serialized tree row: `(node key, parent key, weight, point)`.
 /// The root has `parent == node`; internal nodes carry `point == None`.
@@ -67,229 +68,69 @@ impl Hst {
     }
 }
 
-// Hand-rolled JSON codec. The workspace builds offline (no serde), and
-// the document grammar is tiny: the writer/parser below emit and accept
-// the exact shape serde_json used before —
+// The document shape is the one serde_json emitted before the
+// workspace went serde-free —
 // `{"n_points":N,"edges":[[node,parent,weight,point-or-null],...]}` —
 // so previously saved trees keep loading.
 impl TreeDocument {
     /// Serializes the document as compact JSON.
     #[must_use]
     pub fn to_json(&self) -> String {
+        use std::fmt::Write as _;
         let mut s = String::with_capacity(32 + self.edges.len() * 32);
-        s.push_str("{\"n_points\":");
-        s.push_str(&self.n_points.to_string());
-        s.push_str(",\"edges\":[");
+        let _ = write!(s, "{{\"n_points\":{},\"edges\":[", self.n_points);
         for (i, &(node, parent, weight, point)) in self.edges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('[');
-            s.push_str(&node.to_string());
-            s.push(',');
-            s.push_str(&parent.to_string());
-            s.push(',');
-            // Rust's shortest round-trip float formatting, with a `.0`
-            // forced onto integral values so the token stays a JSON float.
-            let w = format!("{weight}");
-            s.push_str(&w);
-            if !w.contains(['.', 'e', 'E']) {
-                s.push_str(".0");
-            }
-            s.push(',');
-            match point {
-                Some(p) => s.push_str(&p.to_string()),
-                None => s.push_str("null"),
-            }
-            s.push(']');
+            let sep = if i > 0 { "," } else { "" };
+            let point = point.map_or_else(|| "null".to_string(), |p| p.to_string());
+            let _ = write!(s, "{sep}[{node},{parent},{},{point}]", json::float(weight));
         }
         s.push_str("]}");
         s
     }
 
     /// Parses a document from JSON. Accepts arbitrary whitespace and any
-    /// object-key order; rejects unknown keys, duplicates, and trailing
-    /// input.
+    /// object-key order; rejects unknown, duplicate and missing keys,
+    /// malformed edge rows, and trailing input.
     pub fn from_json(s: &str) -> Result<Self, String> {
-        let mut p = JsonParser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        };
-        let doc = p.document()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
-        Ok(doc)
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn err(&self, msg: &str) -> String {
-        format!("invalid tree JSON at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, want: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&want) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", want as char)))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    /// A JSON string restricted to the plain-identifier keys this format
-    /// uses (no escapes).
-    fn key(&mut self) -> Result<&str, String> {
-        self.eat(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' {
-                let k = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("non-UTF-8 key"))?;
-                self.pos += 1;
-                return Ok(k);
-            }
-            if b == b'\\' {
-                return Err(self.err("escapes are not used in tree documents"));
-            }
-            self.pos += 1;
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    /// The span of one JSON number token.
-    fn number_token(&mut self) -> Result<&str, String> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.err("expected a number"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| self.err("bad number"))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let pos = self.pos;
-        let tok = self.number_token()?.to_owned();
-        tok.parse::<u64>()
-            .map_err(|e| format!("invalid tree JSON at byte {pos}: {e}"))
-    }
-
-    fn usize_val(&mut self) -> Result<usize, String> {
-        let pos = self.pos;
-        let tok = self.number_token()?.to_owned();
-        tok.parse::<usize>()
-            .map_err(|e| format!("invalid tree JSON at byte {pos}: {e}"))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        let pos = self.pos;
-        let tok = self.number_token()?.to_owned();
-        tok.parse::<f64>()
-            .map_err(|e| format!("invalid tree JSON at byte {pos}: {e}"))
-    }
-
-    fn edge(&mut self) -> Result<EdgeRow, String> {
-        self.eat(b'[')?;
-        let node = self.u64()?;
-        self.eat(b',')?;
-        let parent = self.u64()?;
-        self.eat(b',')?;
-        let weight = self.f64()?;
-        self.eat(b',')?;
-        let point = if self.peek() == Some(b'n') {
-            if self.bytes[self.pos..].starts_with(b"null") {
-                self.pos += 4;
-                None
-            } else {
-                return Err(self.err("expected null or a point id"));
-            }
-        } else {
-            Some(self.usize_val()?)
-        };
-        self.eat(b']')?;
-        Ok((node, parent, weight, point))
-    }
-
-    fn edges(&mut self) -> Result<Vec<EdgeRow>, String> {
-        self.eat(b'[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            out.push(self.edge()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => return Err(self.err("expected ',' or ']' in edge list")),
-            }
-        }
-    }
-
-    fn document(&mut self) -> Result<TreeDocument, String> {
-        self.eat(b'{')?;
-        let mut n_points: Option<usize> = None;
-        let mut edges: Option<Vec<EdgeRow>> = None;
-        loop {
-            match self.key()? {
+        let err = |msg: &str| format!("invalid tree JSON: {msg}");
+        let value = json::parse(s).map_err(|e| err(&e))?;
+        let fields = value
+            .as_obj()
+            .ok_or_else(|| err("document must be an object"))?;
+        let mut n_points = None;
+        let mut edges = None;
+        for (key, v) in fields {
+            match key.as_str() {
                 "n_points" if n_points.is_none() => {
-                    self.eat(b':')?;
-                    n_points = Some(self.usize_val()?);
+                    let n = v.as_u64().and_then(|n| usize::try_from(n).ok());
+                    n_points = Some(n.ok_or_else(|| err("n_points must be a point count"))?);
                 }
                 "edges" if edges.is_none() => {
-                    self.eat(b':')?;
-                    edges = Some(self.edges()?);
+                    let rows = v.as_arr().ok_or_else(|| err("edges must be an array"))?;
+                    let rows: Option<Vec<EdgeRow>> = rows.iter().map(edge_row).collect();
+                    edges = Some(rows.ok_or_else(|| {
+                        err("each edge must be [node, parent, weight, point-or-null]")
+                    })?);
                 }
-                k => {
-                    let msg = format!("unexpected or duplicate key {k:?}");
-                    return Err(self.err(&msg));
-                }
-            }
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                _ => return Err(self.err("expected ',' or '}' in document")),
+                k => return Err(err(&format!("unexpected or duplicate key {k:?}"))),
             }
         }
         match (n_points, edges) {
             (Some(n_points), Some(edges)) => Ok(TreeDocument { n_points, edges }),
-            _ => Err(self.err("document must contain n_points and edges")),
+            _ => Err(err("document must contain n_points and edges")),
         }
     }
+}
+
+fn edge_row(v: &json::Value) -> Option<EdgeRow> {
+    let [node, parent, weight, point] = v.as_arr()? else {
+        return None;
+    };
+    let point = match point {
+        json::Value::Null => None,
+        p => Some(usize::try_from(p.as_u64()?).ok()?),
+    };
+    Some((node.as_u64()?, parent.as_u64()?, weight.as_f64()?, point))
 }
 
 #[cfg(test)]
@@ -358,6 +199,22 @@ mod tests {
         assert!(Hst::from_json(&format!("{json} extra")).is_err());
         assert!(Hst::from_json("{\"n_points\":0,\"bogus\":[]}").is_err());
         assert!(TreeDocument::from_json("{\"n_points\":0}").is_err());
+    }
+
+    #[test]
+    fn malformed_rows_and_duplicate_keys_are_rejected() {
+        for bad in [
+            r#"{"n_points":1,"edges":[[0,0,0.0]]}"#,
+            r#"{"n_points":1,"edges":[[0,0,0.0,null,7]]}"#,
+            r#"{"n_points":1,"edges":[["0",0,0.0,null]]}"#,
+            r#"{"n_points":1,"edges":[[0,0,0.0,-1]]}"#,
+            r#"{"n_points":1.5,"edges":[]}"#,
+            r#"{"n_points":1,"n_points":1,"edges":[]}"#,
+        ] {
+            assert!(TreeDocument::from_json(bad).is_err(), "{bad}");
+        }
+        let doc = TreeDocument::from_json(r#"{"n_points":1,"edges":[[0,0,0,0]]}"#).unwrap();
+        assert_eq!(doc.edges, vec![(0, 0, 0.0, Some(0))]);
     }
 
     #[test]

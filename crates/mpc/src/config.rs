@@ -387,9 +387,6 @@ pub struct EnvOverrides {
     pub machines: Option<usize>,
     /// `TREEEMB_CAPACITY_WORDS`: per-machine capacity in words.
     pub capacity_words: Option<usize>,
-    /// `TREEEMB_EXACT_KEYS`: force exact (materialized) partition keys
-    /// in the sequential baseline; any value but `"0"` enables.
-    pub exact_keys: Option<bool>,
 }
 
 /// Reads every `TREEEMB_*` configuration override from the process
@@ -406,7 +403,6 @@ pub fn from_env() -> EnvOverrides {
         threads: num(std::env::var("TREEEMB_THREADS")),
         machines: num(std::env::var("TREEEMB_MACHINES")),
         capacity_words: num(std::env::var("TREEEMB_CAPACITY_WORDS")),
-        exact_keys: std::env::var("TREEEMB_EXACT_KEYS").ok().map(|v| v != "0"),
     }
 }
 
@@ -540,7 +536,6 @@ mod tests {
                 threads: Some(3),
                 machines: Some(6),
                 capacity_words: Some(50),
-                exact_keys: None,
             })
             .build();
         assert_eq!(rt.config().threads, 3);
@@ -554,17 +549,12 @@ mod tests {
         // names unique to this namespace check.
         std::env::set_var("TREEEMB_THREADS", "5");
         std::env::set_var("TREEEMB_CAPACITY_WORDS", " 2048 ");
-        std::env::set_var("TREEEMB_EXACT_KEYS", "1");
         std::env::remove_var("TREEEMB_MACHINES");
         let ov = from_env();
         std::env::remove_var("TREEEMB_THREADS");
         std::env::remove_var("TREEEMB_CAPACITY_WORDS");
-        std::env::remove_var("TREEEMB_EXACT_KEYS");
         assert_eq!(ov.threads, Some(5));
         assert_eq!(ov.capacity_words, Some(2048));
         assert_eq!(ov.machines, None);
-        assert_eq!(ov.exact_keys, Some(true));
-        let off = from_env();
-        assert_eq!(off.exact_keys, None);
     }
 }

@@ -35,14 +35,15 @@
 //! typed, retryable
 //! [`MpcError::RecoveryExhausted`](crate::error::MpcError).
 //!
-//! Plans round-trip through a small hand-rolled JSON codec
-//! ([`FaultPlan::to_json`] / [`FaultPlan::from_json`]; the workspace
-//! builds without serde), which is what `treeemb-bench --bin chaos --
+//! Plans round-trip through JSON ([`FaultPlan::to_json`] /
+//! [`FaultPlan::from_json`], on the shared [`treeemb_obs::json`]
+//! codec), which is what `treeemb-bench --bin chaos --
 //! --faults plan.json` replays and what the shrinker
 //! ([`shrink_plan`]) prints for a minimal reproducing schedule.
 
 use crate::cluster::mix_seed;
 use std::fmt;
+use treeemb_obs::json;
 
 /// Domain-separation tags for the per-fault-kind hash streams.
 const TAG_DROP: u64 = 0xD809;
@@ -595,12 +596,12 @@ impl FaultPlan {
             self.max_retries,
             self.max_recoveries,
             self.backoff_ns,
-            fmt_f64(self.rates.drop),
-            fmt_f64(self.rates.duplicate),
-            fmt_f64(self.rates.unavailable),
-            fmt_f64(self.rates.straggle),
+            json::float(self.rates.drop),
+            json::float(self.rates.duplicate),
+            json::float(self.rates.unavailable),
+            json::float(self.rates.straggle),
             self.rates.straggle_ns,
-            fmt_f64(self.rates.crash),
+            json::float(self.rates.crash),
         );
         for (i, s) in self.scheduled.iter().enumerate() {
             out.push_str(if i == 0 { "\n    " } else { ",\n    " });
@@ -682,35 +683,30 @@ impl FaultPlan {
     }
 
     /// Parses a plan from the JSON [`Self::to_json`] emits. Unknown
-    /// keys are ignored; missing keys take their defaults.
+    /// keys are ignored; missing keys take their defaults. Integer
+    /// fields must be integers that fit their type: an out-of-range
+    /// value is an error naming its key, never a truncation.
     pub fn from_json(text: &str) -> Result<FaultPlan, String> {
         let value = json::parse(text)?;
         let obj = value.as_obj().ok_or("fault plan must be a JSON object")?;
         let mut plan = FaultPlan::new(0);
         for (k, v) in obj {
             match k.as_str() {
-                "seed" => plan.seed = v.as_u64().ok_or("seed must be an integer")?,
-                "max_retries" => {
-                    plan.max_retries = v.as_u64().ok_or("max_retries must be an integer")? as u32
-                }
-                "max_recoveries" => {
-                    plan.max_recoveries =
-                        v.as_u64().ok_or("max_recoveries must be an integer")? as u32
-                }
-                "backoff_ns" => {
-                    plan.backoff_ns = v.as_u64().ok_or("backoff_ns must be an integer")?
-                }
+                "seed" => plan.seed = uint(k, v)?,
+                "max_retries" => plan.max_retries = uint(k, v)?,
+                "max_recoveries" => plan.max_recoveries = uint(k, v)?,
+                "backoff_ns" => plan.backoff_ns = uint(k, v)?,
                 "rates" => {
                     let r = v.as_obj().ok_or("rates must be an object")?;
                     for (rk, rv) in r {
-                        let f = rv.as_f64().ok_or("rate must be a number")?;
+                        let rate = || rv.as_f64().ok_or("rate must be a number");
                         match rk.as_str() {
-                            "drop" => plan.rates.drop = f,
-                            "duplicate" => plan.rates.duplicate = f,
-                            "unavailable" => plan.rates.unavailable = f,
-                            "straggle" => plan.rates.straggle = f,
-                            "straggle_ns" => plan.rates.straggle_ns = f as u64,
-                            "crash" => plan.rates.crash = f,
+                            "drop" => plan.rates.drop = rate()?,
+                            "duplicate" => plan.rates.duplicate = rate()?,
+                            "unavailable" => plan.rates.unavailable = rate()?,
+                            "straggle" => plan.rates.straggle = rate()?,
+                            "straggle_ns" => plan.rates.straggle_ns = uint(rk, rv)?,
+                            "crash" => plan.rates.crash = rate()?,
                             _ => {}
                         }
                     }
@@ -728,63 +724,64 @@ impl FaultPlan {
     }
 }
 
-fn fmt_f64(v: f64) -> String {
-    // Shortest representation that round-trips (JSON needs a fraction
-    // marker only for non-integers; integers print exactly).
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{:.1}", v)
-    } else {
-        format!("{v}")
-    }
+/// Reads `v` as an unsigned integer of type `T`; the error names `key`.
+fn uint<T: TryFrom<u64>>(key: &str, v: &json::Value) -> Result<T, String> {
+    let n = v
+        .as_u64()
+        .ok_or_else(|| format!("{key} must be a non-negative integer"))?;
+    T::try_from(n).map_err(|_| format!("{key} = {n} is out of range"))
 }
 
 fn parse_spec(v: &json::Value) -> Result<FaultSpec, String> {
-    let obj = v.as_obj().ok_or("scheduled fault must be an object")?;
-    let get = |key: &str| -> Option<u64> {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_u64())
-    };
-    let kind = obj
-        .iter()
-        .find(|(k, _)| k == "kind")
-        .and_then(|(_, v)| v.as_str())
+    if v.as_obj().is_none() {
+        return Err("scheduled fault must be an object".into());
+    }
+    let kind = v
+        .get("kind")
+        .and_then(json::Value::as_str)
         .ok_or("scheduled fault missing kind")?;
-    let field = |key: &str| get(key).ok_or_else(|| format!("{kind} fault missing {key}"));
+    fn field<T: TryFrom<u64>>(v: &json::Value, kind: &str, key: &str) -> Result<T, String> {
+        let value = v
+            .get(key)
+            .ok_or_else(|| format!("{kind} fault missing {key}"))?;
+        uint(key, value)
+    }
+    let index = |key| field::<usize>(v, kind, key);
+    let attempt = || field::<u32>(v, kind, "attempt");
     Ok(match kind {
         "straggle" => FaultSpec::Straggle {
-            round: field("round")? as usize,
-            machine: field("machine")? as usize,
-            delay_ns: field("delay_ns")?,
+            round: index("round")?,
+            machine: index("machine")?,
+            delay_ns: field(v, kind, "delay_ns")?,
         },
         "drop" => FaultSpec::Drop {
-            round: field("round")? as usize,
-            attempt: field("attempt")? as u32,
-            src: field("src")? as usize,
-            msg_index: field("msg_index")? as usize,
+            round: index("round")?,
+            attempt: attempt()?,
+            src: index("src")?,
+            msg_index: index("msg_index")?,
         },
         "duplicate" => FaultSpec::Duplicate {
-            round: field("round")? as usize,
-            attempt: field("attempt")? as u32,
-            src: field("src")? as usize,
-            msg_index: field("msg_index")? as usize,
+            round: index("round")?,
+            attempt: attempt()?,
+            src: index("src")?,
+            msg_index: index("msg_index")?,
         },
         "unavailable" => FaultSpec::Unavailable {
-            round: field("round")? as usize,
-            attempt: field("attempt")? as u32,
-            machine: field("machine")? as usize,
+            round: index("round")?,
+            attempt: attempt()?,
+            machine: index("machine")?,
         },
         "squeeze" => FaultSpec::Squeeze {
-            from_round: field("from_round")? as usize,
-            capacity_words: field("capacity_words")? as usize,
+            from_round: index("from_round")?,
+            capacity_words: index("capacity_words")?,
             // Optional for backward compatibility with plans emitted
             // before machine-scoped squeezes existed.
-            machine: get("machine").map(|m| m as usize),
+            machine: v.get("machine").map(|m| uint("machine", m)).transpose()?,
         },
         "crash" => FaultSpec::Crash {
-            round: field("round")? as usize,
-            attempt: field("attempt")? as u32,
-            machine: field("machine")? as usize,
+            round: index("round")?,
+            attempt: attempt()?,
+            machine: index("machine")?,
         },
         other => return Err(format!("unknown fault kind {other:?}")),
     })
@@ -824,259 +821,6 @@ pub fn shrink_plan(plan: &FaultPlan, still_fails: impl Fn(&FaultPlan) -> bool) -
         }
     }
     current
-}
-
-/// Minimal recursive-descent JSON parser for the plan schema (objects,
-/// arrays, strings, integers, floats, booleans, null). The workspace
-/// builds without serde; this is the read half of the hand-rolled codec.
-pub mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// A number without fraction/exponent, within `i128`.
-        Int(i128),
-        /// Any other number.
-        Float(f64),
-        /// A string literal.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, in source order.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// The object entries, if this is an object.
-        pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(o) => Some(o),
-                _ => None,
-            }
-        }
-
-        /// The array elements, if this is an array.
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(a) => Some(a),
-                _ => None,
-            }
-        }
-
-        /// The string contents, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The value as a `u64`, if it is a non-negative integer.
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Int(i) if *i >= 0 && *i <= u64::MAX as i128 => Some(*i as u64),
-                _ => None,
-            }
-        }
-
-        /// The value as an `f64`, if it is any number.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Int(i) => Some(*i as f64),
-                Value::Float(f) => Some(*f),
-                _ => None,
-            }
-        }
-
-        /// Looks up `key` in an object.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            self.as_obj()?
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-        }
-    }
-
-    /// Parses one JSON document (trailing whitespace allowed).
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(b, pos);
-        if *pos < b.len() && b[*pos] == c {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, *pos))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            None => Err("unexpected end of input".into()),
-            Some(b'{') => {
-                *pos += 1;
-                let mut obj = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(obj));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = match parse_value(b, pos)? {
-                        Value::Str(s) => s,
-                        _ => return Err(format!("object key must be a string at byte {}", *pos)),
-                    };
-                    expect(b, pos, b':')?;
-                    let val = parse_value(b, pos)?;
-                    obj.push((key, val));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(obj));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut arr = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(arr));
-                }
-                loop {
-                    arr.push(parse_value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(arr));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-                    }
-                }
-            }
-            Some(b'"') => {
-                *pos += 1;
-                let mut s = String::new();
-                loop {
-                    match b.get(*pos) {
-                        None => return Err("unterminated string".into()),
-                        Some(b'"') => {
-                            *pos += 1;
-                            return Ok(Value::Str(s));
-                        }
-                        Some(b'\\') => {
-                            *pos += 1;
-                            match b.get(*pos) {
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
-                                Some(b'/') => s.push('/'),
-                                Some(b'n') => s.push('\n'),
-                                Some(b'r') => s.push('\r'),
-                                Some(b't') => s.push('\t'),
-                                Some(b'u') => {
-                                    let hex =
-                                        b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                                    let code = u32::from_str_radix(
-                                        std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                        16,
-                                    )
-                                    .map_err(|_| "bad \\u escape")?;
-                                    s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                                    *pos += 4;
-                                }
-                                other => return Err(format!("bad escape {other:?}")),
-                            }
-                            *pos += 1;
-                        }
-                        Some(&c) => {
-                            // Multi-byte UTF-8 sequences pass through.
-                            let start = *pos;
-                            let len = if c < 0x80 {
-                                1
-                            } else if c < 0xE0 {
-                                2
-                            } else if c < 0xF0 {
-                                3
-                            } else {
-                                4
-                            };
-                            let chunk = b
-                                .get(start..start + len)
-                                .ok_or("truncated UTF-8 sequence")?;
-                            s.push_str(std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8")?);
-                            *pos += len;
-                        }
-                    }
-                }
-            }
-            Some(b't') if b[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') if b[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Value::Bool(false))
-            }
-            Some(b'n') if b[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Value::Null)
-            }
-            Some(_) => {
-                let start = *pos;
-                let mut is_float = false;
-                while *pos < b.len() {
-                    match b[*pos] {
-                        b'0'..=b'9' | b'-' | b'+' => *pos += 1,
-                        b'.' | b'e' | b'E' => {
-                            is_float = true;
-                            *pos += 1;
-                        }
-                        _ => break,
-                    }
-                }
-                let text = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad number")?;
-                if text.is_empty() {
-                    return Err(format!("unexpected character at byte {start}"));
-                }
-                if is_float {
-                    text.parse::<f64>()
-                        .map(Value::Float)
-                        .map_err(|e| format!("bad number {text:?}: {e}"))
-                } else {
-                    text.parse::<i128>()
-                        .map(Value::Int)
-                        .map_err(|e| format!("bad number {text:?}: {e}"))
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1386,6 +1130,20 @@ mod tests {
     }
 
     #[test]
+    fn from_json_reads_integers_exactly_and_rejects_out_of_range() {
+        let mut plan = FaultPlan::new(1);
+        plan.rates.straggle_ns = u64::MAX - 3;
+        assert_eq!(FaultPlan::from_json(&plan.to_json()).unwrap(), plan);
+        let err = FaultPlan::from_json(r#"{"max_retries": 4294967296}"#).unwrap_err();
+        assert!(err.contains("max_retries"), "{err}");
+        let err = FaultPlan::from_json(
+            r#"{"scheduled": [{"kind": "drop", "round": 0, "attempt": 4294967297, "src": 0, "msg_index": 0}]}"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("attempt"), "{err}");
+    }
+
+    #[test]
     fn from_events_reconstructs_specs_and_skips_backoffs() {
         let events = [
             FaultEvent {
@@ -1546,19 +1304,5 @@ mod tests {
         assert_eq!(a1.scheduled, plan.scheduled);
         assert_eq!(plan.for_attempt(1), plan.for_attempt(1));
         assert_ne!(plan.for_attempt(1).seed, plan.for_attempt(2).seed);
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let v = json::parse(r#"{"a": [1, -2.5, "x\n\"y\"", true, null], "b": {"c": 3}}"#).unwrap();
-        let arr = v.get("a").unwrap().as_arr().unwrap();
-        assert_eq!(arr[0].as_u64(), Some(1));
-        assert_eq!(arr[1].as_f64(), Some(-2.5));
-        assert_eq!(arr[2].as_str(), Some("x\n\"y\""));
-        assert_eq!(arr[3], json::Value::Bool(true));
-        assert_eq!(arr[4], json::Value::Null);
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_u64(), Some(3));
-        assert!(json::parse("{\"a\": 1,}").is_err());
-        assert!(json::parse("{} trailing").is_err());
     }
 }

@@ -1,9 +1,8 @@
 //! Trace exporters: Chrome `trace_event` JSON and JSONL.
 //!
-//! The workspace builds without serde, so both writers emit JSON by
-//! hand; the grammar used (string keys, integer/float values, flat
-//! `args` objects) is small enough that escaping names is the only
-//! subtlety.
+//! Both writers emit JSON by hand (string keys, integer/float values,
+//! flat `args` objects); names go through [`crate::json::escape`], the
+//! workspace's one string escaper.
 //!
 //! The Chrome format is the ["Trace Event Format"] consumed by
 //! `chrome://tracing` and Perfetto: an object with a `traceEvents`
@@ -12,29 +11,11 @@
 //!
 //! ["Trace Event Format"]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+use crate::json::escape;
 use crate::{Event, EventKind};
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
-
-/// Escapes `s` for inclusion in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn write_args(json: &mut String, args: &[(&'static str, u64)]) {
     json.push('{');
@@ -42,7 +23,7 @@ fn write_args(json: &mut String, args: &[(&'static str, u64)]) {
         if i > 0 {
             json.push(',');
         }
-        let _ = write!(json, "\"{}\":{v}", escape(k));
+        let _ = write!(json, "{}:{v}", escape(k));
     }
     json.push('}');
 }
@@ -63,7 +44,7 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
                 let dur = e.dur_ns as f64 / 1_000.0;
                 let _ = write!(
                     json,
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{ts:.3},\"dur\":{dur:.3},\"args\":",
+                    "{{\"name\":{},\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{ts:.3},\"dur\":{dur:.3},\"args\":",
                     escape(&e.name),
                     e.tid,
                 );
@@ -73,7 +54,7 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
             EventKind::Counter => {
                 let _ = write!(
                     json,
-                    "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":1,\"ts\":{ts:.3},\"args\":",
+                    "{{\"name\":{},\"ph\":\"C\",\"pid\":1,\"ts\":{ts:.3},\"args\":",
                     escape(&e.name),
                 );
                 write_args(&mut json, &e.args);
@@ -82,7 +63,7 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
             EventKind::Mark => {
                 let _ = write!(
                     json,
-                    "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{ts:.3},\"args\":",
+                    "{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{ts:.3},\"args\":",
                     escape(&e.name),
                     e.tid,
                 );
@@ -108,7 +89,7 @@ pub fn jsonl(events: &[Event]) -> String {
         };
         let _ = write!(
             out,
-            "{{\"name\":\"{}\",\"kind\":\"{kind}\",\"tid\":{},\"start_ns\":{},\"dur_ns\":{},\"depth\":{},\"args\":",
+            "{{\"name\":{},\"kind\":\"{kind}\",\"tid\":{},\"start_ns\":{},\"dur_ns\":{},\"depth\":{},\"args\":",
             escape(&e.name),
             e.tid,
             e.start_ns,
@@ -167,43 +148,14 @@ mod tests {
         ]
     }
 
-    /// Minimal structural JSON check (the workspace has no JSON parser):
-    /// brackets/braces balance outside string literals and all string
-    /// literals terminate.
-    fn assert_balanced_json(s: &str) {
-        let (mut depth_obj, mut depth_arr) = (0i64, 0i64);
-        let mut in_str = false;
-        let mut escaped = false;
-        for c in s.chars() {
-            if in_str {
-                if escaped {
-                    escaped = false;
-                } else if c == '\\' {
-                    escaped = true;
-                } else if c == '"' {
-                    in_str = false;
-                }
-                continue;
-            }
-            match c {
-                '"' => in_str = true,
-                '{' => depth_obj += 1,
-                '}' => depth_obj -= 1,
-                '[' => depth_arr += 1,
-                ']' => depth_arr -= 1,
-                _ => {}
-            }
-            assert!(depth_obj >= 0 && depth_arr >= 0);
-        }
-        assert!(!in_str, "unterminated string literal");
-        assert_eq!(depth_obj, 0, "unbalanced braces");
-        assert_eq!(depth_arr, 0, "unbalanced brackets");
+    fn assert_parses(s: &str) {
+        crate::json::parse(s).expect("exporter output must parse");
     }
 
     #[test]
     fn chrome_trace_has_expected_phases_and_balances() {
         let json = chrome_trace_json(&sample());
-        assert_balanced_json(&json);
+        assert_parses(&json);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ph\":\"C\""));
@@ -223,7 +175,7 @@ mod tests {
         assert_eq!(lines.len(), 3);
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
-            assert_balanced_json(line);
+            assert_parses(line);
         }
         assert!(out.contains("\"kind\":\"span\""));
         assert!(out.contains("\"start_ns\":1500"));
@@ -233,7 +185,7 @@ mod tests {
     #[test]
     fn empty_event_list_still_valid() {
         let json = chrome_trace_json(&[]);
-        assert_balanced_json(&json);
+        assert_parses(&json);
         assert!(json.contains("\"traceEvents\":[\n\n]"));
         assert!(jsonl(&[]).is_empty());
     }
@@ -250,7 +202,7 @@ mod tests {
             args: vec![],
         };
         let json = chrome_trace_json(&[e]);
-        assert_balanced_json(&json);
+        assert_parses(&json);
         assert!(json.contains("bad\\nname\\u0001"));
     }
 }

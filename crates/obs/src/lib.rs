@@ -12,6 +12,10 @@
 //!   loadable in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev);
 //! * a JSONL stream ([`export::jsonl`]), one event object per line.
 //!
+//! The crate also owns the workspace's one JSON codec, [`json`]: the
+//! reader and writers behind every JSON artifact, trace exports
+//! included.
+//!
 //! **Zero-cost when off.** Tracing is armed either by the
 //! `TREEEMB_TRACE=path` environment variable (read once, on first use)
 //! or programmatically via [`set_trace_path`] / [`capture_start`]. When
@@ -41,6 +45,7 @@
 //! ```
 
 pub mod export;
+pub mod json;
 
 use std::borrow::Cow;
 use std::cell::Cell;

@@ -1,5 +1,5 @@
 //! Fuzz harness for the packed-key vs exact-key partition parity
-//! contract (the `TREEEMB_EXACT_KEYS` verification path).
+//! contract (the exact path behind `SeqEmbedder::embed_exact_keys`).
 //!
 //! [`check_packed_vs_exact`] decodes an arbitrary byte string into a
 //! hybrid-level geometry plus a batch of points and asserts, at the bit
