@@ -1,6 +1,9 @@
 //! The simulated cluster: distributed collections and the round
 //! primitive.
 
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
+
 use crate::config::{CheckpointPolicy, MpcConfig, RuntimeBuilder};
 use crate::error::{CapacityPhase, MpcError, MpcResult};
 use crate::exec;
@@ -169,19 +172,16 @@ impl Runtime {
     }
 
     /// Minimum effective per-machine capacity across the cluster at the
-    /// current round: the smallest configured capacity (after
-    /// heterogeneous overrides), further shrunk by any capacity squeeze
-    /// an attached fault plan has in force. Capacity-driven sizing plans
-    /// against this bound.
+    /// current round: the smallest [`Runtime::capacity_of`] over
+    /// `0..num_machines` (configured capacity after heterogeneous
+    /// overrides, shrunk by any squeeze in force; squeezes naming a
+    /// machine outside the cluster do nothing). Capacity-driven sizing
+    /// plans against this bound.
     pub fn capacity(&self) -> usize {
-        let base = self.cfg.min_capacity_words();
-        match &self.faults {
-            None => base,
-            Some(f) => match f.plan.squeeze_min(self.metrics.rounds()) {
-                Some(squeezed) => squeezed.min(base),
-                None => base,
-            },
-        }
+        (0..self.cfg.num_machines)
+            .map(|i| self.capacity_of(i))
+            .min()
+            .unwrap_or(self.cfg.capacity_words)
     }
 
     /// Effective capacity of one machine at the current round (its
@@ -235,82 +235,71 @@ impl Runtime {
     /// (once per round index). Called by every entry point that consults
     /// capacities, so the fault log names the squeeze no matter where
     /// the squeezed run fails. Heterogeneous *configured* capacities are
-    /// not faults and are never logged here.
+    /// not faults and are never logged here, and neither are squeezes
+    /// naming a machine outside the cluster.
     fn note_squeeze(&mut self) {
-        let Some(plan) = self.faults.as_ref().map(|f| f.plan.clone()) else {
+        let round = self.metrics.rounds();
+        let Some(f) = self.faults.as_ref() else {
             return;
         };
-        let round = self.metrics.rounds();
-        if self
-            .fault_log()
+        if f.log
             .iter()
             .any(|e| e.kind == FaultKind::Squeeze && e.round == round)
         {
             return;
         }
-        let mut events: Vec<FaultEvent> = Vec::new();
-        if let Some(sq) = plan.squeeze_at(round) {
+        // `(machine, msg_index, capacity)`; the cluster-wide squeeze
+        // comes first with `msg_index == usize::MAX`.
+        let mut events: Vec<(MachineId, usize, usize)> = Vec::new();
+        if let Some(sq) = f.plan.squeeze_at(round) {
             let cap = sq.min(self.cfg.capacity_words);
             if cap < self.cfg.capacity_words {
-                events.push(FaultEvent {
-                    round,
-                    attempt: 0,
-                    kind: FaultKind::Squeeze,
-                    machine: 0,
-                    msg_index: usize::MAX,
-                    value: cap as u64,
-                });
+                events.push((0, usize::MAX, cap));
             }
         }
         // Machine-scoped squeezes, one event per distinct machine (the
         // `msg_index == machine` marker lets `FaultPlan::from_events`
         // rebuild the scope).
-        let mut squeezed: Vec<usize> = plan
-            .scheduled
-            .iter()
-            .filter_map(|s| match s {
-                FaultSpec::Squeeze {
-                    from_round,
-                    machine: Some(m),
-                    ..
-                } if *from_round <= round => Some(*m),
-                _ => None,
-            })
-            .collect();
-        squeezed.sort_unstable();
-        squeezed.dedup();
-        for m in squeezed {
-            let value = plan
-                .scheduled
-                .iter()
-                .filter_map(|s| match s {
-                    FaultSpec::Squeeze {
-                        from_round,
-                        capacity_words,
-                        machine: Some(mm),
-                    } if *from_round <= round && *mm == m => Some(*capacity_words),
-                    _ => None,
-                })
-                .min()
-                .expect("machine collected from a matching spec");
-            events.push(FaultEvent {
-                round,
-                attempt: 0,
-                kind: FaultKind::Squeeze,
-                machine: m,
-                msg_index: m,
-                value: value as u64,
-            });
+        let mut scoped: BTreeMap<MachineId, usize> = BTreeMap::new();
+        for spec in &f.plan.scheduled {
+            if let FaultSpec::Squeeze {
+                from_round,
+                capacity_words,
+                machine: Some(m),
+            } = *spec
+            {
+                if from_round <= round && m < self.cfg.num_machines {
+                    let cap = scoped.entry(m).or_insert(capacity_words);
+                    *cap = (*cap).min(capacity_words);
+                }
+            }
         }
-        for ev in events {
-            self.record_fault(ev);
+        events.extend(scoped.into_iter().map(|(m, cap)| (m, m, cap)));
+        for (machine, msg_index, cap) in events {
+            self.log_fault(FaultKind::Squeeze, 0, machine, msg_index, cap as u64);
         }
     }
 
-    /// Appends an injected fault to the log and the active trace.
-    fn record_fault(&mut self, ev: FaultEvent) {
+    /// Appends an injected fault, stamped with the current round, to the
+    /// log and the active trace.
+    fn log_fault(
+        &mut self,
+        kind: FaultKind,
+        attempt: u32,
+        machine: MachineId,
+        msg_index: usize,
+        value: u64,
+    ) {
+        let ev = FaultEvent {
+            round: self.metrics.rounds(),
+            attempt,
+            kind,
+            machine,
+            msg_index,
+            value,
+        };
         if treeemb_obs::enabled() {
-            let name = match ev.kind {
+            let name = match kind {
                 FaultKind::Straggle => "fault.straggle",
                 FaultKind::Drop => "fault.drop",
                 FaultKind::Duplicate => "fault.duplicate",
@@ -324,22 +313,62 @@ impl Runtime {
                 name,
                 &[
                     ("round", ev.round as u64),
-                    ("attempt", ev.attempt as u64),
-                    ("machine", ev.machine as u64),
+                    ("attempt", attempt as u64),
+                    ("machine", machine as u64),
                     (
                         "msg_index",
-                        if ev.msg_index == usize::MAX {
+                        if msg_index == usize::MAX {
                             0
                         } else {
-                            ev.msg_index as u64
+                            msg_index as u64
                         },
                     ),
-                    ("value", ev.value),
+                    ("value", value),
                 ],
             );
         }
         if let Some(f) = &mut self.faults {
             f.log.push(ev);
+        }
+    }
+
+    /// The typed error for `words` exceeding `capacity` on `machine` in
+    /// the current round.
+    fn capacity_error(
+        &self,
+        machine: MachineId,
+        phase: CapacityPhase,
+        words: usize,
+        capacity: usize,
+        label: &str,
+    ) -> MpcError {
+        MpcError::CapacityExceeded {
+            machine,
+            round: self.metrics.rounds(),
+            phase,
+            words,
+            capacity,
+            label: label.into(),
+        }
+    }
+
+    /// Checks `words` against `capacity`: strict mode fails with
+    /// [`MpcError::CapacityExceeded`], lenient mode returns the number
+    /// of violations to meter (0 or 1).
+    fn check(
+        &self,
+        machine: MachineId,
+        phase: CapacityPhase,
+        words: usize,
+        capacity: usize,
+        label: &str,
+    ) -> MpcResult<usize> {
+        if words <= capacity {
+            Ok(0)
+        } else if self.cfg.strict {
+            Err(self.capacity_error(machine, phase, words, capacity, label))
+        } else {
+            Ok(1)
         }
     }
 
@@ -361,14 +390,8 @@ impl Runtime {
         for item in items {
             let w = item.words();
             if w > max_cap {
-                return Err(MpcError::CapacityExceeded {
-                    machine,
-                    round: self.metrics.rounds(),
-                    phase: CapacityPhase::Input,
-                    words: w,
-                    capacity: max_cap,
-                    label: "distribute".into(),
-                });
+                let label = "distribute";
+                return Err(self.capacity_error(machine, CapacityPhase::Input, w, max_cap, label));
             }
             // Greedy fill; a record that does not fit the current
             // machine moves to the next (skipping machines it exceeds
@@ -378,14 +401,9 @@ impl Runtime {
                 used = 0;
             }
             if machine >= m {
-                return Err(MpcError::CapacityExceeded {
-                    machine: m - 1,
-                    round: self.metrics.rounds(),
-                    phase: CapacityPhase::Input,
-                    words: caps[m - 1] + w,
-                    capacity: caps[m - 1],
-                    label: "distribute (cluster full)".into(),
-                });
+                let (last, cap) = (m - 1, caps[m - 1]);
+                let label = "distribute (cluster full)";
+                return Err(self.capacity_error(last, CapacityPhase::Input, cap + w, cap, label));
             }
             used += w;
             parts[machine].push(item);
@@ -402,7 +420,8 @@ impl Runtime {
     /// returning the records it *keeps*; records passed to
     /// [`Emitter::send`] are routed to their destinations. A machine's
     /// shard in the output collection is its kept records followed by
-    /// received records in source-machine order (deterministic).
+    /// received records in source-machine order, each source's in
+    /// emission order (deterministic).
     ///
     /// Capacity checks (strict mode), per machine against its effective
     /// capacity: input ≤ s, sent ≤ s, received ≤ s, kept + received ≤ s.
@@ -430,7 +449,6 @@ impl Runtime {
             "collection spans a different cluster"
         );
         let round_idx = self.metrics.rounds();
-        let strict = self.cfg.strict;
         let mut violations = 0usize;
         let t_start_ns = treeemb_obs::now_ns();
         let mut sp = treeemb_obs::Span::enter_with(|| format!("mpc.round:{label}"));
@@ -449,46 +467,22 @@ impl Runtime {
         };
         for (machine, &delay_ns) in straggle.iter().enumerate() {
             if delay_ns > 0 {
-                self.record_fault(FaultEvent {
-                    round: round_idx,
-                    attempt: 0,
-                    kind: FaultKind::Straggle,
-                    machine,
-                    msg_index: usize::MAX,
-                    value: delay_ns,
-                });
+                self.log_fault(FaultKind::Straggle, 0, machine, usize::MAX, delay_ns);
             }
         }
 
-        // Phase 1: input capacity check.
-        let mut worst_input: Option<(usize, usize)> = None;
-        for (i, p) in input.parts().iter().enumerate() {
-            let w = words::of_slice(p);
-            if w > caps[i] && worst_input.is_none_or(|(_, ww)| w > ww) {
-                worst_input = Some((i, w));
-            }
-        }
+        // Input check: the largest overflow, lowest machine on ties.
+        let worst_input = (0..m)
+            .map(|i| (i, words::of_slice(input.part(i))))
+            .filter(|&(i, w)| w > caps[i])
+            .min_by_key(|&(i, w)| (Reverse(w), i));
         if let Some((i, w)) = worst_input {
-            if strict {
-                return Err(MpcError::CapacityExceeded {
-                    machine: i,
-                    round: round_idx,
-                    phase: CapacityPhase::Input,
-                    words: w,
-                    capacity: caps[i],
-                    label: label.into(),
-                });
-            }
-            violations += 1;
+            violations += self.check(i, CapacityPhase::Input, w, caps[i], label)?;
         }
 
-        // Phase 1b: checkpoint + crash planning. With checkpointing
-        // active the round input is (conceptually) snapshotted in full
-        // and metered against total space; only crashed machines'
-        // shards are actually cloned below. Crash decisions are pure
-        // functions of the plan, so the whole recovery schedule can be
-        // resolved up front: machine `i` crashes on executions
-        // `0..crashes[i]` and completes on execution `crashes[i]`.
+        // With checkpointing active the round input is (conceptually)
+        // snapshotted in full and metered against total space; only
+        // crashed machines' shards are actually cloned in `execute`.
         let checkpoint_active = match self.checkpoint {
             CheckpointPolicy::Disabled => false,
             CheckpointPolicy::Always => true,
@@ -499,209 +493,34 @@ impl Runtime {
         } else {
             0
         };
-        let mut crashes: Vec<u32> = vec![0; m];
-        if let Some(p) = plan.as_ref().filter(|p| p.can_crash()) {
-            for (machine, crash_count) in crashes.iter_mut().enumerate() {
-                let mut k = 0u32;
-                while k <= p.max_recoveries && p.crashed(round_idx, k, machine) {
-                    k += 1;
-                }
-                if k == 0 {
-                    continue;
-                }
-                // Without a checkpoint there is nothing to re-execute
-                // from: the first crash is final.
-                let crashed_execs = if checkpoint_active { k } else { 1 };
-                for attempt in 0..crashed_execs {
-                    self.record_fault(FaultEvent {
-                        round: round_idx,
-                        attempt,
-                        kind: FaultKind::Crash,
-                        machine,
-                        msg_index: usize::MAX,
-                        value: 0,
-                    });
-                }
-                if !checkpoint_active || k > p.max_recoveries {
-                    if treeemb_obs::enabled() {
-                        treeemb_obs::mark(
-                            "recover.exhausted",
-                            &[
-                                ("round", round_idx as u64),
-                                ("machine", machine as u64),
-                                ("attempts", crashed_execs as u64),
-                            ],
-                        );
-                    }
-                    return Err(MpcError::RecoveryExhausted {
-                        round: round_idx,
-                        label: label.into(),
-                        machine,
-                        attempts: crashed_execs,
-                    });
-                }
-                self.record_fault(FaultEvent {
-                    round: round_idx,
-                    attempt: k,
-                    kind: FaultKind::Recover,
-                    machine,
-                    msg_index: usize::MAX,
-                    value: words::of_slice(input.part(machine)) as u64,
-                });
-                *crash_count = k;
-            }
-        }
+        let crashes = match plan.as_ref().filter(|p| p.can_crash()) {
+            Some(p) => self.plan(p, label, &input, checkpoint_active)?,
+            None => vec![0; m],
+        };
         let recoveries: u32 = crashes.iter().sum();
 
-        // Phase 2: run machines concurrently. A crashed machine really
-        // executes `f` once per lost attempt (the work is discarded,
-        // modeling lost compute) and once more from the checkpoint
-        // snapshot for its surviving output.
-        struct MachineOut<U> {
-            kept: Vec<U>,
-            msgs: Vec<(MachineId, U)>,
-            out_words: usize,
-        }
-        let straggle_ref = &straggle;
-        let crashes_ref = &crashes;
-        let work: Vec<(Vec<T>, Option<Vec<T>>)> = input
-            .into_parts()
-            .into_iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let snap = (crashes_ref[i] > 0).then(|| shard.clone());
-                (shard, snap)
-            })
-            .collect();
-        let outputs: Vec<MachineOut<U>> =
-            exec::par_map_indexed(work, self.cfg.threads, |i, (shard, snap)| {
-                if let Some(&delay_ns) = straggle_ref.get(i) {
-                    if delay_ns > 0 {
-                        std::thread::sleep(std::time::Duration::from_nanos(delay_ns));
-                    }
-                }
-                let k = crashes_ref[i];
-                if k == 0 {
-                    let mut em = Emitter::new();
-                    let kept = f(i, shard, &mut em);
-                    return MachineOut {
-                        kept,
-                        msgs: em.msgs,
-                        out_words: em.out_words,
-                    };
-                }
-                let snap = snap.expect("snapshot exists for crashed machines");
-                {
-                    let mut scratch = Emitter::new();
-                    let _ = f(i, shard, &mut scratch);
-                }
-                for _ in 1..k {
-                    let mut scratch = Emitter::new();
-                    let _ = f(i, snap.clone(), &mut scratch);
-                }
-                let mut em = Emitter::new();
-                let kept = f(i, snap, &mut em);
-                MachineOut {
-                    kept,
-                    msgs: em.msgs,
-                    out_words: em.out_words,
-                }
-            });
+        let outputs = execute(input, &crashes, &straggle, self.cfg.threads, &f);
 
-        // Phase 2b: the exchange attempt loop. Transient faults (machine
-        // unavailability, message drop/duplication) are detected by the
-        // simulated exchange protocol and the whole exchange retries with
-        // simulated backoff, re-transmitting from the already-computed
-        // machine outputs. A clean attempt therefore delivers exactly the
-        // fault-free message sequence — downstream state is bit-identical
-        // — and exhausting the retry budget surfaces as the typed
-        // `RetriesExhausted`, never as silently corrupted output.
-        let mut attempts = 1u32;
-        if let Some(p) = plan.as_ref().filter(|p| !p.is_empty()) {
-            let max_attempts = p.max_retries.saturating_add(1);
-            let mut attempt = 0u32;
-            loop {
-                let mut events: Vec<FaultEvent> = Vec::new();
-                for machine in 0..m {
-                    if p.unavailable(round_idx, attempt, machine) {
-                        events.push(FaultEvent {
-                            round: round_idx,
-                            attempt,
-                            kind: FaultKind::Unavailable,
-                            machine,
-                            msg_index: usize::MAX,
-                            value: 0,
-                        });
-                    }
-                }
-                if events.is_empty() {
-                    // All machines up: scan the exchange for message
-                    // faults, in (source, emission index) order.
-                    for (src, out) in outputs.iter().enumerate() {
-                        for idx in 0..out.msgs.len() {
-                            if let Some(kind) = p.msg_fault(round_idx, attempt, src, idx) {
-                                events.push(FaultEvent {
-                                    round: round_idx,
-                                    attempt,
-                                    kind,
-                                    machine: src,
-                                    msg_index: idx,
-                                    value: 0,
-                                });
-                            }
-                        }
-                    }
-                }
-                if events.is_empty() {
-                    attempts = attempt + 1;
-                    break;
-                }
-                for ev in events {
-                    self.record_fault(ev);
-                }
-                if attempt + 1 >= max_attempts {
-                    sp.arg("attempts", max_attempts as u64);
-                    return Err(MpcError::RetriesExhausted {
-                        round: round_idx,
-                        label: label.into(),
-                        attempts: max_attempts,
-                    });
-                }
-                self.record_fault(FaultEvent {
-                    round: round_idx,
-                    attempt,
-                    kind: FaultKind::Backoff,
-                    machine: 0,
-                    msg_index: usize::MAX,
-                    value: p.backoff_for(attempt + 1),
-                });
-                attempt += 1;
+        let attempts = match plan.as_ref().filter(|p| !p.is_empty()) {
+            Some(p) => {
+                let msg_counts: Vec<usize> = outputs.iter().map(|(_, em)| em.msgs.len()).collect();
+                self.exchange(p, label, &msg_counts)
+                    .inspect_err(|_| sp.arg("attempts", p.max_retries.saturating_add(1) as u64))?
             }
-        }
+            None => 1,
+        };
 
-        // Phase 3: validate sends and route messages.
+        // Validate sends and destinations (source by source), then
+        // receives, then residency, before anything moves.
         let mut sent_total = 0usize;
         let mut max_out = 0usize;
-        let mut parts: Vec<Vec<U>> = Vec::with_capacity(m);
         let mut in_words = vec![0usize; m];
-        let mut routed: Vec<Vec<(MachineId, U)>> = Vec::with_capacity(m);
-        for (src, out) in outputs.iter().enumerate() {
-            if out.out_words > caps[src] {
-                if strict {
-                    return Err(MpcError::CapacityExceeded {
-                        machine: src,
-                        round: round_idx,
-                        phase: CapacityPhase::Send,
-                        words: out.out_words,
-                        capacity: caps[src],
-                        label: label.into(),
-                    });
-                }
-                violations += 1;
-            }
-            sent_total += out.out_words;
-            max_out = max_out.max(out.out_words);
-            for (dest, rec) in &out.msgs {
+        let mut in_count = vec![0usize; m];
+        for (src, (_, em)) in outputs.iter().enumerate() {
+            violations += self.check(src, CapacityPhase::Send, em.out_words, caps[src], label)?;
+            sent_total += em.out_words;
+            max_out = max_out.max(em.out_words);
+            for (dest, rec) in &em.msgs {
                 if *dest >= m {
                     return Err(MpcError::BadDestination {
                         source: src,
@@ -710,60 +529,31 @@ impl Runtime {
                     });
                 }
                 in_words[*dest] += rec.words();
+                in_count[*dest] += 1;
             }
+        }
+        for (dest, &w) in in_words.iter().enumerate() {
+            violations += self.check(dest, CapacityPhase::Receive, w, caps[dest], label)?;
         }
         let max_in = in_words.iter().copied().max().unwrap_or(0);
-        for (dest, &w) in in_words.iter().enumerate() {
-            if w > caps[dest] {
-                if strict {
-                    return Err(MpcError::CapacityExceeded {
-                        machine: dest,
-                        round: round_idx,
-                        phase: CapacityPhase::Receive,
-                        words: w,
-                        capacity: caps[dest],
-                        label: label.into(),
-                    });
-                }
-                violations += 1;
-            }
-        }
-        for _ in 0..m {
-            routed.push(Vec::new());
-        }
-        // Deliver kept records first, then messages in source order.
-        let mut kept_words = vec![0usize; m];
-        let mut outputs = outputs;
-        for (i, out) in outputs.iter().enumerate() {
-            kept_words[i] = words::of_slice(&out.kept);
-        }
-        for (src, out) in outputs.iter_mut().enumerate() {
-            for (dest, rec) in out.msgs.drain(..) {
-                routed[dest].push((src, rec));
-            }
-        }
         let mut max_resident = 0usize;
-        for (i, out) in outputs.into_iter().enumerate() {
-            let mut shard = out.kept;
-            // Messages were appended in source order already because we
-            // iterate sources in ascending order above.
-            shard.extend(routed[i].drain(..).map(|(_, rec)| rec));
-            let resident = kept_words[i] + in_words[i] + self.overlay_words;
+        for (i, (kept, _)) in outputs.iter().enumerate() {
+            let resident = words::of_slice(kept) + in_words[i] + self.overlay_words;
             max_resident = max_resident.max(resident);
-            if resident > caps[i] {
-                if strict {
-                    return Err(MpcError::CapacityExceeded {
-                        machine: i,
-                        round: round_idx,
-                        phase: CapacityPhase::Residency,
-                        words: resident,
-                        capacity: caps[i],
-                        label: label.into(),
-                    });
-                }
-                violations += 1;
+            violations += self.check(i, CapacityPhase::Residency, resident, caps[i], label)?;
+        }
+
+        // Deliver: each machine's kept records, then every message moved
+        // once, in source order, into space reserved for exactly its
+        // inbox.
+        let (mut parts, emitters): (Vec<Vec<U>>, Vec<Emitter<U>>) = outputs.into_iter().unzip();
+        for (part, &n) in parts.iter_mut().zip(&in_count) {
+            part.reserve_exact(n);
+        }
+        for em in emitters {
+            for (dest, rec) in em.msgs {
+                parts[dest].push(rec);
             }
-            parts.push(shard);
         }
 
         sp.arg("sent_words", sent_total as u64);
@@ -796,10 +586,111 @@ impl Runtime {
         Ok(dist)
     }
 
+    /// Resolves the round's crash schedule up front. Crash decisions are
+    /// pure functions of the plan: machine `i` crashes on executions
+    /// `0..crashes[i]` and completes on execution `crashes[i]`. Logs each
+    /// crash and restore, and fails with [`MpcError::RecoveryExhausted`]
+    /// when a machine crashes through the recovery budget, or crashes at
+    /// all without a checkpoint to re-execute from.
+    fn plan<T: Words>(
+        &mut self,
+        p: &FaultPlan,
+        label: &str,
+        input: &Dist<T>,
+        checkpoint_active: bool,
+    ) -> MpcResult<Vec<u32>> {
+        let round = self.metrics.rounds();
+        let mut crashes = vec![0u32; input.num_machines()];
+        for (machine, crash_count) in crashes.iter_mut().enumerate() {
+            let mut k = 0u32;
+            while k <= p.max_recoveries && p.crashed(round, k, machine) {
+                k += 1;
+            }
+            if k == 0 {
+                continue;
+            }
+            // Without a checkpoint there is nothing to re-execute from:
+            // the first crash is final.
+            let crashed_execs = if checkpoint_active { k } else { 1 };
+            for attempt in 0..crashed_execs {
+                self.log_fault(FaultKind::Crash, attempt, machine, usize::MAX, 0);
+            }
+            if !checkpoint_active || k > p.max_recoveries {
+                if treeemb_obs::enabled() {
+                    treeemb_obs::mark(
+                        "recover.exhausted",
+                        &[
+                            ("round", round as u64),
+                            ("machine", machine as u64),
+                            ("attempts", crashed_execs as u64),
+                        ],
+                    );
+                }
+                return Err(MpcError::RecoveryExhausted {
+                    round,
+                    label: label.into(),
+                    machine,
+                    attempts: crashed_execs,
+                });
+            }
+            let restored = words::of_slice(input.part(machine)) as u64;
+            self.log_fault(FaultKind::Recover, k, machine, usize::MAX, restored);
+            *crash_count = k;
+        }
+        Ok(crashes)
+    }
+
+    /// The exchange attempt loop, given each source's message count.
+    /// Transient faults (machine unavailability, message
+    /// drop/duplication) are detected by the simulated exchange protocol
+    /// and the whole exchange retries with simulated backoff,
+    /// re-transmitting from the already-computed machine outputs. A clean
+    /// attempt therefore delivers exactly the fault-free message sequence
+    /// — downstream state is bit-identical — and exhausting the retry
+    /// budget surfaces as the typed [`MpcError::RetriesExhausted`], never
+    /// as silently corrupted output. Returns the attempts taken.
+    fn exchange(&mut self, p: &FaultPlan, label: &str, msg_counts: &[usize]) -> MpcResult<u32> {
+        let round = self.metrics.rounds();
+        let max_attempts = p.max_retries.saturating_add(1);
+        for attempt in 0..max_attempts {
+            let mut faulted = false;
+            for machine in 0..msg_counts.len() {
+                if p.unavailable(round, attempt, machine) {
+                    self.log_fault(FaultKind::Unavailable, attempt, machine, usize::MAX, 0);
+                    faulted = true;
+                }
+            }
+            if !faulted {
+                // All machines up: scan the exchange for message faults,
+                // in (source, emission index) order.
+                for (src, &count) in msg_counts.iter().enumerate() {
+                    for idx in 0..count {
+                        if let Some(kind) = p.msg_fault(round, attempt, src, idx) {
+                            self.log_fault(kind, attempt, src, idx, 0);
+                            faulted = true;
+                        }
+                    }
+                }
+            }
+            if !faulted {
+                return Ok(attempt + 1);
+            }
+            if attempt + 1 < max_attempts {
+                let backoff = p.backoff_for(attempt + 1);
+                self.log_fault(FaultKind::Backoff, attempt, 0, usize::MAX, backoff);
+            }
+        }
+        Err(MpcError::RetriesExhausted {
+            round,
+            label: label.into(),
+            attempts: max_attempts,
+        })
+    }
+
     /// Machine-local transformation with **no communication**. Does not
     /// advance the round counter: in the MPC model, local computation
     /// fuses into the surrounding communication rounds. Output residency
-    /// is still metered and capacity-checked.
+    /// is still capacity-checked (lenient mode meters violations).
     pub fn map_local<T, U, F>(&mut self, input: Dist<T>, f: F) -> MpcResult<Dist<U>>
     where
         T: Words + Send,
@@ -812,21 +703,12 @@ impl Runtime {
         let parts = exec::par_map_indexed(input.into_parts(), self.cfg.threads, f);
         let dist = Dist::from_parts(parts);
         sp.arg("out_words", dist.total_words() as u64);
-        if self.cfg.strict {
-            for (i, p) in dist.parts().iter().enumerate() {
-                let w = words::of_slice(p);
-                if w > caps[i] {
-                    return Err(MpcError::CapacityExceeded {
-                        machine: i,
-                        round: self.metrics.rounds(),
-                        phase: CapacityPhase::Residency,
-                        words: w,
-                        capacity: caps[i],
-                        label: "map_local".into(),
-                    });
-                }
-            }
+        let mut violations = 0usize;
+        for (i, p) in dist.parts().iter().enumerate() {
+            let w = words::of_slice(p);
+            violations += self.check(i, CapacityPhase::Residency, w, caps[i], "map_local")?;
         }
+        self.metrics.record_local_violations(violations);
         self.metrics.record_total_resident(dist.total_words());
         Ok(dist)
     }
@@ -868,19 +750,7 @@ impl Runtime {
             (CapacityPhase::Receive, max_in_words),
             (CapacityPhase::Residency, max_resident_words),
         ] {
-            if words > cap {
-                if self.cfg.strict {
-                    return Err(MpcError::CapacityExceeded {
-                        machine: 0,
-                        round,
-                        phase,
-                        words,
-                        capacity: cap,
-                        label: label.into(),
-                    });
-                }
-                violations += 1;
-            }
+            violations += self.check(0, phase, words, cap, label)?;
         }
         if treeemb_obs::enabled() {
             treeemb_obs::mark(
@@ -922,6 +792,53 @@ impl Runtime {
         }
         out
     }
+}
+
+/// Runs `f` on every machine concurrently, after any injected straggle
+/// delay. A crashed machine really executes `f` once per lost execution
+/// (the work is discarded, modeling lost compute) and once more from its
+/// checkpoint snapshot for its surviving output.
+fn execute<T, U, F>(
+    input: Dist<T>,
+    crashes: &[u32],
+    straggle: &[u64],
+    threads: usize,
+    f: &F,
+) -> Vec<(Vec<U>, Emitter<U>)>
+where
+    T: Words + Send + Clone,
+    U: Words + Send,
+    F: Fn(MachineId, Vec<T>, &mut Emitter<U>) -> Vec<U> + Sync,
+{
+    let work: Vec<(Vec<T>, Option<Vec<T>>)> = input
+        .into_parts()
+        .into_iter()
+        .zip(crashes)
+        .map(|(shard, &k)| {
+            let snap = (k > 0).then(|| shard.clone());
+            (shard, snap)
+        })
+        .collect();
+    exec::par_map_indexed(work, threads, |i, (shard, snap)| {
+        if let Some(&delay_ns) = straggle.get(i) {
+            if delay_ns > 0 {
+                std::thread::sleep(std::time::Duration::from_nanos(delay_ns));
+            }
+        }
+        let run = |shard: Vec<T>| {
+            let mut em = Emitter::new();
+            let kept = f(i, shard, &mut em);
+            (kept, em)
+        };
+        let Some(snap) = snap else {
+            return run(shard);
+        };
+        let _ = run(shard);
+        for _ in 1..crashes[i] {
+            let _ = run(snap.clone());
+        }
+        run(snap)
+    })
 }
 
 /// SplitMix64 — the stateless mixer used to derive per-machine and
@@ -1006,6 +923,41 @@ mod tests {
         }
         assert_eq!(rt.metrics().rounds(), 1);
         assert_eq!(rt.metrics().total_sent_words(), 16);
+    }
+
+    #[test]
+    fn round_delivers_kept_then_messages_in_source_and_emission_order() {
+        // Every machine first sends `100 - id` to machine 1; then it keeps
+        // multiples of 3 and sends every other record `v` to `v % 4`.
+        let parts = vec![vec![9u64, 8, 4, 7], vec![2, 16], vec![6], vec![]];
+        for threads in [1, 4] {
+            let mut rt = Runtime::builder()
+                .capacity_words(64)
+                .machines(4)
+                .threads(threads)
+                .build();
+            let out = rt
+                .round("order", Dist::from_parts(parts.clone()), |id, shard, em| {
+                    em.send(1, 100 - id as u64);
+                    let mut kept = Vec::new();
+                    for v in shard {
+                        if v % 3 == 0 {
+                            kept.push(v);
+                        } else {
+                            em.send((v % 4) as usize, v);
+                        }
+                    }
+                    kept
+                })
+                .unwrap();
+            let want: Vec<Vec<u64>> = vec![
+                vec![9, 8, 4, 16],
+                vec![100, 99, 98, 97],
+                vec![6, 2],
+                vec![7],
+            ];
+            assert_eq!(out.parts(), &want[..], "threads={threads}");
+        }
     }
 
     #[test]
@@ -1131,6 +1083,151 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, MpcError::BadDestination { dest: 99, .. }));
+    }
+
+    #[test]
+    fn lenient_map_local_meters_violations() {
+        let mut rt = Runtime::builder()
+            .capacity_words(4)
+            .machines(2)
+            .lenient()
+            .build();
+        let dist = rt.distribute(vec![1u64, 2, 3, 4]).unwrap();
+        let grown = rt
+            .map_local(dist, |_, shard| {
+                shard.into_iter().flat_map(|x| [x; 5]).collect::<Vec<u64>>()
+            })
+            .unwrap();
+        assert_eq!(grown.part(0).len(), 20);
+        assert_eq!(rt.metrics().violations(), 1);
+    }
+
+    #[test]
+    fn capacity_sees_only_squeezes_on_existing_machines() {
+        // A squeeze naming a machine outside `0..m` does nothing.
+        let plan = FaultPlan::new(0).with_fault(FaultSpec::Squeeze {
+            from_round: 0,
+            capacity_words: 8,
+            machine: Some(99),
+        });
+        let mut rt = Runtime::builder()
+            .capacity_words(64)
+            .machines(4)
+            .fault_plan(plan)
+            .build();
+        assert_eq!(rt.capacity(), 64);
+        assert!((0..4).all(|i| rt.capacity_of(i) == 64));
+        rt.record_accounted_round("bcast", 40, 40, 40, 40).unwrap();
+        assert!(rt.fault_log().is_empty(), "{:?}", rt.fault_log());
+
+        // An in-range machine-scoped squeeze lowers the cluster minimum
+        // from its first round on.
+        let plan = FaultPlan::new(0)
+            .with_fault(FaultSpec::Squeeze {
+                from_round: 1,
+                capacity_words: 50,
+                machine: Some(2),
+            })
+            .with_fault(FaultSpec::Squeeze {
+                from_round: 4,
+                capacity_words: 80,
+                machine: None,
+            });
+        let mut rt = Runtime::builder()
+            .capacity_words(100)
+            .machines(4)
+            .fault_plan(plan)
+            .build();
+        assert_eq!(rt.capacity(), 100);
+        rt.record_accounted_round("bcast", 1, 1, 1, 1).unwrap();
+        assert_eq!(rt.capacity(), 50);
+        assert_eq!(rt.capacity_of(0), 100);
+    }
+
+    #[test]
+    fn failing_round_error_and_fault_log_follow_check_order() {
+        struct Case {
+            name: &'static str,
+            plan: Option<FaultPlan>,
+            input_words: u64,
+            flood: Option<(MachineId, u64)>,
+            want: fn(&MpcError) -> bool,
+            log: &'static [FaultKind],
+        }
+        let cases = [
+            Case {
+                name: "straggle is logged before the input check fails",
+                plan: Some(FaultPlan::new(0).with_fault(FaultSpec::Straggle {
+                    round: 0,
+                    machine: 1,
+                    delay_ns: 1,
+                })),
+                input_words: 8,
+                flood: None,
+                want: |e| {
+                    matches!(
+                        e,
+                        MpcError::CapacityExceeded {
+                            machine: 0,
+                            phase: CapacityPhase::Input,
+                            ..
+                        }
+                    )
+                },
+                log: &[FaultKind::Straggle],
+            },
+            Case {
+                name: "exhausted exchange wins over an over-cap sender",
+                plan: Some(FaultPlan::new(0).with_max_retries(0).with_fault(
+                    FaultSpec::Unavailable {
+                        round: 0,
+                        attempt: 0,
+                        machine: 1,
+                    },
+                )),
+                input_words: 1,
+                flood: Some((1, 100)),
+                want: |e| matches!(e, MpcError::RetriesExhausted { attempts: 1, .. }),
+                log: &[FaultKind::Unavailable],
+            },
+            Case {
+                name: "send cap is checked before the source's destinations",
+                plan: None,
+                input_words: 1,
+                flood: Some((99, 100)),
+                want: |e| {
+                    matches!(
+                        e,
+                        MpcError::CapacityExceeded {
+                            machine: 0,
+                            phase: CapacityPhase::Send,
+                            ..
+                        }
+                    )
+                },
+                log: &[],
+            },
+        ];
+        for case in cases {
+            let mut b = Runtime::builder().capacity_words(4).machines(2);
+            if let Some(plan) = case.plan {
+                b = b.fault_plan(plan);
+            }
+            let mut rt = b.build();
+            let input = Dist::from_parts(vec![(0..case.input_words).collect(), vec![]]);
+            let flood = case.flood;
+            let err = rt
+                .round("precedence", input, |id, shard, em| {
+                    if let (0, Some((dest, n))) = (id, flood) {
+                        (0..n).for_each(|i| em.send(dest, i));
+                    }
+                    shard
+                })
+                .unwrap_err();
+            assert!((case.want)(&err), "{}: got {err}", case.name);
+            let kinds: Vec<FaultKind> = rt.fault_log().iter().map(|e| e.kind).collect();
+            assert_eq!(kinds, case.log, "{}", case.name);
+        }
     }
 
     #[test]

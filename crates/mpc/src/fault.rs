@@ -543,22 +543,6 @@ impl FaultPlan {
             .min()
     }
 
-    /// Tightest capacity cap in force for *any* machine at `round` —
-    /// the cluster-minimum effective capacity under this plan.
-    pub(crate) fn squeeze_min(&self, round: usize) -> Option<usize> {
-        self.scheduled
-            .iter()
-            .filter_map(|s| match s {
-                FaultSpec::Squeeze {
-                    from_round,
-                    capacity_words,
-                    ..
-                } if *from_round <= round => Some(*capacity_words),
-                _ => None,
-            })
-            .min()
-    }
-
     /// Whether `machine` crashes (loses its shard) during execution
     /// attempt `attempt` of `round`. Attempt 0 is the initial execution;
     /// attempt `k > 0` is the `k`-th re-execution from the checkpoint.
@@ -982,9 +966,6 @@ mod tests {
         assert_eq!(p.squeeze_for(1, 0), None);
         assert_eq!(p.squeeze_for(4, 0), Some(80));
         assert_eq!(p.squeeze_for(4, 2), Some(50));
-        // The cluster minimum sees every scope.
-        assert_eq!(p.squeeze_min(1), Some(50));
-        assert_eq!(p.squeeze_min(0), None);
     }
 
     #[test]

@@ -68,6 +68,8 @@ pub struct Metrics {
     peak_resident_words: usize,
     peak_total_resident_words: usize,
     total_sent_words: usize,
+    /// Lenient-mode violations outside any round (`map_local`).
+    local_violations: usize,
 }
 
 impl Metrics {
@@ -81,6 +83,11 @@ impl Metrics {
         self.total_sent_words += stats.sent_words;
         self.peak_resident_words = self.peak_resident_words.max(stats.max_resident_words);
         self.rounds.push(stats);
+    }
+
+    /// Meters lenient-mode capacity violations of a machine-local phase.
+    pub(crate) fn record_local_violations(&mut self, violations: usize) {
+        self.local_violations += violations;
     }
 
     /// Raises the peak per-machine residency floor directly (used for
@@ -121,9 +128,10 @@ impl Metrics {
         self.total_sent_words
     }
 
-    /// Total capacity violations (lenient mode only).
+    /// Total capacity violations across rounds and machine-local
+    /// phases (lenient mode only).
     pub fn violations(&self) -> usize {
-        self.rounds.iter().map(|r| r.violations).sum()
+        self.local_violations + self.rounds.iter().map(|r| r.violations).sum::<usize>()
     }
 
     /// Total faults injected across all rounds (0 without a fault plan).
