@@ -6,7 +6,7 @@
 //! The index stores, per level, a map from partition-chain hashes to a
 //! representative point. A query point is assigned through the *same*
 //! seeded hybrid partitionings (out-of-sample assignment is just
-//! [`HybridLevel::assign`]); the deepest level whose chain matches an
+//! [`HybridLevel::key_into`]); the deepest level whose chain matches an
 //! indexed chain yields the answer. Points that share a partition at
 //! scale `w` are within `2√r·w`, and a true nearest neighbor at
 //! distance `δ` stays un-separated from the query down to scale
@@ -17,7 +17,6 @@
 use std::collections::HashMap;
 use treeemb_core::error::EmbedError;
 use treeemb_core::params::HybridParams;
-use treeemb_core::seq::SeqEmbedder;
 use treeemb_geom::metrics::dist;
 use treeemb_geom::PointSet;
 use treeemb_partition::ids::StructuralHash;
@@ -37,32 +36,27 @@ pub struct AnnIndex {
 
 impl AnnIndex {
     /// Builds the index over `ps` with an existing hybrid schedule and
-    /// seed (the same derivation as [`SeqEmbedder`], so an index and an
-    /// embedding built with equal parameters see identical partitions).
+    /// seed (the same [`HybridParams::build_levels`] derivation as the
+    /// embedders, so an index and an embedding built with equal
+    /// parameters see identical partitions).
     pub fn build(ps: &PointSet, params: &HybridParams, seed: u64) -> Result<Self, EmbedError> {
         if ps.is_empty() {
             return Err(EmbedError::EmptyInput);
         }
         let padded = ps.zero_pad(params.dim);
-        let levels = SeqEmbedder::new(params.clone()).build_levels(seed);
+        let levels = params.build_levels(seed);
         let mut chains: Vec<HashMap<u64, usize>> = vec![HashMap::new(); levels.len()];
         for p in 0..padded.len() {
             let mut chain = StructuralHash::root();
             for (li, lvl) in levels.iter().enumerate() {
-                match lvl.assign(padded.point(p)) {
-                    Some(a) => {
-                        chain = a.absorb_into(chain.absorb(li as u64));
-                        chains[li].entry(chain.value()).or_insert(p);
-                    }
-                    None => {
-                        let bucket = failing_bucket(lvl, padded.point(p));
-                        return Err(EmbedError::CoverageFailure {
-                            level: li,
-                            bucket,
-                            point: p,
-                        });
-                    }
-                }
+                chain = chain.absorb(li as u64);
+                lvl.key_into(padded.point(p), |t| chain = chain.absorb(t))
+                    .map_err(|bucket| EmbedError::CoverageFailure {
+                        level: li,
+                        bucket,
+                        point: p,
+                    })?;
+                chains[li].entry(chain.value()).or_insert(p);
             }
         }
         Ok(Self {
@@ -90,15 +84,13 @@ impl AnnIndex {
         let mut chain = StructuralHash::root();
         let mut best = self.fallback;
         for (li, lvl) in self.levels.iter().enumerate() {
-            match lvl.assign(&padded) {
-                Some(a) => {
-                    chain = a.absorb_into(chain.absorb(li as u64));
-                    match self.chains[li].get(&chain.value()) {
-                        Some(&rep) => best = rep,
-                        None => break, // chain diverged from every indexed point
-                    }
-                }
-                None => break, // query fell outside coverage at this level
+            chain = chain.absorb(li as u64);
+            if lvl.key_into(&padded, |t| chain = chain.absorb(t)).is_err() {
+                break; // query fell outside coverage at this level
+            }
+            match self.chains[li].get(&chain.value()) {
+                Some(&rep) => best = rep,
+                None => break, // chain diverged from every indexed point
             }
         }
         best
@@ -119,16 +111,6 @@ impl AnnIndex {
             })
             .expect("at least one index")
     }
-}
-
-fn failing_bucket(level: &HybridLevel, p: &[f64]) -> usize {
-    let m = level.bucket_dim();
-    for (j, seq) in level.sequences().iter().enumerate() {
-        if seq.assign(&p[j * m..(j + 1) * m]).is_none() {
-            return j;
-        }
-    }
-    0
 }
 
 /// Exact nearest neighbor by linear scan (baseline).

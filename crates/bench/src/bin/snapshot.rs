@@ -13,30 +13,18 @@
 //!
 //! The pairs measured:
 //!
-//! * `partition_keys` — exact `HybridLevel::assign` (materializes
-//!   per-bucket `Vec<i64>` cells) vs the allocation-free
-//!   `assign_packed` 128-bit structural-hash key;
-//! * `node_id_chain` — `assign` + `absorb_into` vs the streaming
-//!   `absorb_assignment_into` (the MPC node-id hot path);
 //! * `wht` — plain stage-by-stage butterflies vs the cache-blocked
 //!   `wht_inplace` on a large transform;
 //! * `executor_round` — a `thread::scope` spawn per round vs the
-//!   persistent worker pool behind `par_map_indexed`;
-//! * `audit_pairs` — the `O(n²·d)` distortion audit at 1 thread vs all
-//!   available threads (row-partial formulation; equal results).
+//!   persistent worker pool behind `par_map_indexed`.
 //!
-//! Criterion benches also emit machine-readable lines when
-//! `CRITERION_OUTPUT_JSON` points at a file; this binary is the small,
-//! checked-in snapshot CI smoke-runs.
+//! End-to-end costs (the MPC FJLT, Algorithm 2's grid scans, fault
+//! recovery) are measured by the `perfbench/` benchmark, not here.
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use treeemb_fjlt::audit::distortion_report_parallel;
-use treeemb_geom::generators;
 use treeemb_linalg::wht::{wht_inplace, wht_stages_inplace};
 use treeemb_obs::json::escape;
-use treeemb_partition::ids::StructuralHash;
-use treeemb_partition::HybridLevel;
 
 struct Entry {
     id: String,
@@ -107,74 +95,6 @@ fn main() {
         speedups.push((name.to_string(), s));
     };
 
-    // Partition keys: exact materialized cells vs packed hash.
-    {
-        let dim = 16;
-        let ps = generators::uniform_cube(if quick { 256 } else { 1024 }, dim, 1 << 10, 3);
-        let lvl = HybridLevel::new(dim, 4, 24.0, 64, 7);
-        let pts: Vec<&[f64]> = ps.iter().collect();
-        let base = measure("partition_keys/exact", samples, || {
-            let mut alive = 0usize;
-            for p in &pts {
-                if lvl.assign(p).is_some() {
-                    alive += 1;
-                }
-            }
-            assert!(alive > 0);
-        });
-        let opt = measure("partition_keys/packed", samples, || {
-            let mut alive = 0usize;
-            for p in &pts {
-                if lvl.assign_packed(p).is_some() {
-                    alive += 1;
-                }
-            }
-            assert!(alive > 0);
-        });
-        pair("partition_keys", base, opt, &mut entries);
-
-        // Node-id chains (the MPC path): materialize-then-absorb vs stream.
-        let h0 = StructuralHash::root().absorb(1);
-        let base = measure("node_id_chain/materialized", samples, || {
-            let mut acc = 0u64;
-            for p in &pts {
-                if let Some(a) = lvl.assign(p) {
-                    acc ^= a.absorb_into(h0).value();
-                }
-            }
-            std::hint::black_box(acc);
-        });
-        let opt = measure("node_id_chain/streamed", samples, || {
-            let mut acc = 0u64;
-            for p in &pts {
-                if let Some(h) = lvl.absorb_assignment_into(p, h0) {
-                    acc ^= h.value();
-                }
-            }
-            std::hint::black_box(acc);
-        });
-        pair("node_id_chain", base, opt, &mut entries);
-    }
-
-    // End-to-end sequential embed: exact keys (cloned per-bucket cells
-    // in the grouping hot loop) vs packed keys (copyable 16-byte keys).
-    {
-        use treeemb_core::params::HybridParams;
-        use treeemb_core::seq::SeqEmbedder;
-        let n = if quick { 256 } else { 1024 };
-        let ps = generators::uniform_cube(n, 8, 1 << 10, 11);
-        let embedder = SeqEmbedder::new(HybridParams::for_dataset(&ps, 4).unwrap());
-        let base = measure("embed_tree/exact_keys", samples, || {
-            let emb = embedder.embed_exact_keys(&ps, 5, 1).unwrap();
-            std::hint::black_box(emb.tree.num_nodes());
-        });
-        let opt = measure("embed_tree/packed_keys", samples, || {
-            let emb = embedder.embed(&ps, 5).unwrap();
-            std::hint::black_box(emb.tree.num_nodes());
-        });
-        pair("embed_tree", base, opt, &mut entries);
-    }
-
     // WHT: plain staged butterflies vs the cache-blocked transform.
     {
         let n = 1usize << 18;
@@ -230,25 +150,6 @@ fn main() {
             std::hint::black_box(acc);
         });
         pair("executor_round", base, opt, &mut entries);
-    }
-
-    // Audit: O(n² d) distortion sweep, 1 thread vs all threads.
-    {
-        let ps = generators::uniform_cube(if quick { 192 } else { 512 }, 16, 1 << 10, 5);
-        let scaled = {
-            let rows: Vec<Vec<f64>> = ps
-                .iter()
-                .map(|p| p.iter().map(|x| x * 1.01).collect())
-                .collect();
-            treeemb_geom::PointSet::from_rows(&rows)
-        };
-        let base = measure("audit_pairs/serial", samples, || {
-            std::hint::black_box(distortion_report_parallel(&ps, &scaled, 1));
-        });
-        let opt = measure("audit_pairs/parallel", samples, || {
-            std::hint::black_box(distortion_report_parallel(&ps, &scaled, threads));
-        });
-        pair("audit_pairs", base, opt, &mut entries);
     }
 
     let mut json = String::new();

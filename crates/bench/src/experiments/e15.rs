@@ -40,8 +40,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
         for trial in 0..trials {
             let lvl =
                 HybridLevel::with_cell_factor(d, r, w, factor, budget, mix2(99, trial as u64));
-            match (lvl.assign(&p), lvl.assign(&q)) {
-                (Some(a), Some(b)) if a == b => {}
+            match (lvl.key(&p), lvl.key(&q)) {
+                (Ok(a), Ok(b)) if a == b => {}
                 _ => cuts += 1,
             }
         }

@@ -67,11 +67,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let hybrid = HybridLevel::new(4, 2, w / 4.0, 400, seed);
     let hybrid_art = raster(side, res, |p| {
         let p3 = [p[0], p[1], 0.5, 0.0]; // padded to 4 dims (r | d)
-        hybrid.assign(&p3).map(|a| {
-            let mut h = treeemb_partition::ids::StructuralHash::root();
-            h = a.absorb_into(h);
-            h.value()
-        })
+        hybrid.key(&p3).ok().map(|k| k.lo)
     });
 
     println!("F1(a) random shifted grid (w=1):\n{grid_art}");
@@ -101,7 +97,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             1,
             treeemb_linalg::random::mix2(seed, i as u64),
         );
-        if hb.assign(&[x, y, z, 0.0]).is_some() {
+        if hb.key(&[x, y, z, 0.0]).is_ok() {
             covered_hybrid += 1;
         }
     }

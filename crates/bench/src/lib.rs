@@ -2,10 +2,10 @@
 //! claims (see DESIGN.md's per-experiment index and EXPERIMENTS.md for
 //! recorded results).
 //!
-//! Each experiment is a function `eN(scale) -> Vec<Table>`; the
-//! `experiments` bench target (and the `exp` binary) run them and print
-//! markdown tables. `Scale::quick()` keeps everything under a few
-//! seconds per experiment for CI; `Scale::full()` uses larger sweeps.
+//! Each experiment is a function `eN(scale) -> Vec<Table>`; the `exp`
+//! binary runs them and prints markdown tables. `Scale::quick()` keeps
+//! everything under a few seconds per experiment for CI; `Scale::full()`
+//! uses larger sweeps.
 
 pub mod chaos;
 pub mod experiments;

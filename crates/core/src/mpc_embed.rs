@@ -19,7 +19,7 @@
 
 use crate::error::EmbedError;
 use crate::params::HybridParams;
-use crate::seq::{hybrid_level_seed, Embedding};
+use crate::seq::Embedding;
 use std::sync::Arc;
 use treeemb_geom::PointSet;
 use treeemb_hst::builder::{from_edge_list, EdgeRec};
@@ -152,22 +152,7 @@ pub fn embed_mpc_full(
     // Step 1: build grids once (machine 0's role) and broadcast their
     // raw shift vectors so Lemma 8's local-space claim is exercised.
     let grids_sp = treeemb_obs::span!("embed.grids");
-    let levels: Arc<Vec<HybridLevel>> = Arc::new(
-        params
-            .levels
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| {
-                HybridLevel::new(
-                    params.dim,
-                    params.r,
-                    w,
-                    params.grids_per_bucket,
-                    hybrid_level_seed(seed, i),
-                )
-            })
-            .collect(),
-    );
+    let levels: Arc<Vec<HybridLevel>> = Arc::new(params.build_levels(seed));
     // The broadcast is metered (rounds, loads, capacity, pinned
     // residency) without materializing M copies of the shift vectors;
     // machines read the grids through shared state, as real clusters
@@ -200,24 +185,18 @@ pub fn embed_mpc_full(
             let mut nodes = Vec::with_capacity(levels_for_paths.len());
             let mut failed = None;
             for (level, lvl) in levels_for_paths.iter().enumerate() {
-                // Streams the assignment tokens straight into the chain —
-                // the same digest `assign(..).absorb_into(..)` produces,
-                // without materializing per-bucket lattice cells.
-                match lvl.absorb_assignment_into(&rec.coords, chain.absorb(level as u64)) {
-                    Some(next) => {
-                        chain = next;
-                        nodes.push((chain.value(), params_paths.edge_weight(level), level as u32));
-                    }
-                    None => {
-                        let bucket = failing_bucket(lvl, &rec.coords);
-                        failed = Some(PathOrFail::Fail {
-                            point: rec.id,
-                            level: level as u32,
-                            bucket: bucket as u32,
-                        });
-                        break;
-                    }
+                // Streams the level's key straight into the chain, so
+                // machines derive node ids without materializing cells.
+                chain = chain.absorb(level as u64);
+                if let Err(bucket) = lvl.key_into(&rec.coords, |t| chain = chain.absorb(t)) {
+                    failed = Some(PathOrFail::Fail {
+                        point: rec.id,
+                        level: level as u32,
+                        bucket: bucket as u32,
+                    });
+                    break;
                 }
+                nodes.push((chain.value(), params_paths.edge_weight(level), level as u32));
             }
             out.push(failed.unwrap_or(PathOrFail::Path(PointPath {
                 point: rec.id,
@@ -330,16 +309,6 @@ impl Words for EdgeMsg {
     fn words(&self) -> usize {
         4
     }
-}
-
-fn failing_bucket(level: &HybridLevel, p: &[f64]) -> usize {
-    let m = level.bucket_dim();
-    for (j, seq) in level.sequences().iter().enumerate() {
-        if seq.first_covering(&p[j * m..(j + 1) * m]).is_none() {
-            return j;
-        }
-    }
-    0
 }
 
 #[cfg(test)]

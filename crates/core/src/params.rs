@@ -1,8 +1,9 @@
 //! Parameter schedules for the hierarchical embeddings.
 
 use crate::error::EmbedError;
+use crate::seq::hybrid_level_seed;
 use treeemb_geom::{metrics, BoundingBox, PointSet};
-use treeemb_partition::coverage;
+use treeemb_partition::{coverage, HybridLevel};
 
 /// Parameters of a hybrid-partitioning hierarchy (Algorithm 1 / 2).
 #[derive(Debug, Clone, PartialEq)]
@@ -128,6 +129,21 @@ impl HybridParams {
     /// Number of levels in the hierarchy.
     pub fn num_levels(&self) -> usize {
         self.levels.len()
+    }
+
+    /// Every level's hybrid partitioning for `seed`: level `i` has scale
+    /// `w_i` and draws its grids from `hybrid_level_seed(seed, i)`.
+    /// Algorithm 1, Algorithm 2 and the ANN index all derive their levels
+    /// here, so equal seeds give identical partitions everywhere.
+    pub fn build_levels(&self, seed: u64) -> Vec<HybridLevel> {
+        self.levels
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| {
+                let level_seed = hybrid_level_seed(seed, i);
+                HybridLevel::new(self.dim, self.r, w, self.grids_per_bucket, level_seed)
+            })
+            .collect()
     }
 
     /// Edge weight of a cluster created at level `i`: `√r·w_i`, except

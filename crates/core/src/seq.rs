@@ -14,10 +14,10 @@ use std::collections::VecDeque;
 use treeemb_geom::PointSet;
 use treeemb_hst::{Hst, HstBuilder};
 use treeemb_linalg::random::mix3;
-use treeemb_partition::{grid::ShiftedGrid, HybridLevel, LevelAssignment, PackedLevelKey};
+use treeemb_partition::{grid::ShiftedGrid, HybridLevel, PackedLevelKey};
 
-/// Domain tag for hybrid-level seeds (shared with the MPC embedder so
-/// both derive identical grids).
+/// Domain tag for hybrid-level seeds (see [`HybridParams::build_levels`],
+/// the one derivation of a run's levels).
 pub const HYBRID_LEVEL_TAG: u64 = 0x48594252; // "HYBR"
 /// Domain tag for grid-level seeds.
 pub const GRID_LEVEL_TAG: u64 = 0x47524944; // "GRID"
@@ -125,25 +125,6 @@ impl SeqEmbedder {
         &self.params
     }
 
-    /// Materializes the per-level hybrid partitionings for `seed`
-    /// (shared with the MPC embedder — identical derivation).
-    pub fn build_levels(&self, seed: u64) -> Vec<HybridLevel> {
-        self.params
-            .levels
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| {
-                HybridLevel::new(
-                    self.params.dim,
-                    self.params.r,
-                    w,
-                    self.params.grids_per_bucket,
-                    hybrid_level_seed(seed, i),
-                )
-            })
-            .collect()
-    }
-
     /// Embeds `ps` into a tree (Theorem 2 guarantees: domination always;
     /// expected distortion `O(√(d·r)·logΔ)`). Single-threaded; see
     /// [`Self::embed_parallel`].
@@ -162,7 +143,7 @@ impl SeqEmbedder {
         threads: usize,
     ) -> Result<Embedding, EmbedError> {
         let padded = ps.zero_pad(self.params.dim);
-        let levels = self.build_levels(seed);
+        let levels = self.params.build_levels(seed);
         let tree = self.packed_hierarchy(&padded, &levels, threads.max(1))?;
         Ok(Embedding {
             tree,
@@ -171,32 +152,11 @@ impl SeqEmbedder {
         })
     }
 
-    /// [`Self::embed`] via the exact-key verification path: partitions
-    /// are grouped by the materialized per-bucket lattice cells instead
-    /// of packed 128-bit hashes. Produces the identical tree (unless a
-    /// ~2⁻¹²⁸-probability hash collision separates the paths); kept
-    /// callable for verification and for the kernel snapshot bench.
-    pub fn embed_exact_keys(
-        &self,
-        ps: &PointSet,
-        seed: u64,
-        threads: usize,
-    ) -> Result<Embedding, EmbedError> {
-        let padded = ps.zero_pad(self.params.dim);
-        let levels = self.build_levels(seed);
-        let tree = self.exact_hierarchy(&padded, &levels, threads)?;
-        Ok(Embedding {
-            tree,
-            method: "hybrid",
-            seed,
-        })
-    }
-
-    /// The default hot path: every (point, level) assignment is hashed
-    /// into a copyable 128-bit [`PackedLevelKey`] in parallel, so
-    /// grouping never clones per-bucket lattice cells. The resulting
-    /// tree equals the exact path's whp (packed keys collide with
-    /// probability ~2^-128 per pair; see the partition proptests).
+    /// The hot path: every (point, level) pair is keyed in parallel into
+    /// a copyable 128-bit [`PackedLevelKey`], so grouping never clones
+    /// per-bucket lattice cells. Packed keys collide with probability
+    /// ~2^-128 per pair, so the tree equals the one grouped by exact
+    /// assignments (see `exact_and_packed_paths_build_identical_trees`).
     fn packed_hierarchy(
         &self,
         padded: &PointSet,
@@ -212,14 +172,12 @@ impl SeqEmbedder {
                         .iter()
                         .enumerate()
                         .map(|(level, lvl)| {
-                            lvl.assign_packed(padded.point(p)).ok_or_else(|| {
-                                let bucket = failing_bucket(lvl, padded.point(p));
-                                EmbedError::CoverageFailure {
+                            lvl.key(padded.point(p))
+                                .map_err(|bucket| EmbedError::CoverageFailure {
                                     level,
                                     bucket,
                                     point: p,
-                                }
-                            })
+                                })
                         })
                         .collect()
                 },
@@ -236,61 +194,6 @@ impl SeqEmbedder {
             |level| self.params.tail_weight(level),
         )
     }
-
-    /// The exact-key verification path: groups by the materialized
-    /// per-bucket lattice cells instead of packed hashes. Kept for debugging hash-collision suspicions; the
-    /// `exact_and_packed_paths_build_identical_trees` test pins the two
-    /// paths together.
-    fn exact_hierarchy(
-        &self,
-        padded: &PointSet,
-        levels: &[HybridLevel],
-        threads: usize,
-    ) -> Result<treeemb_hst::Hst, EmbedError> {
-        let per_point: Vec<Result<Vec<LevelAssignment>, EmbedError>> =
-            treeemb_mpc::exec::par_map_indexed(
-                (0..padded.len()).collect::<Vec<usize>>(),
-                threads,
-                |_, p| {
-                    levels
-                        .iter()
-                        .enumerate()
-                        .map(|(level, lvl)| {
-                            lvl.assign(padded.point(p)).ok_or_else(|| {
-                                let bucket = failing_bucket(lvl, padded.point(p));
-                                EmbedError::CoverageFailure {
-                                    level,
-                                    bucket,
-                                    point: p,
-                                }
-                            })
-                        })
-                        .collect()
-                },
-            );
-        let mut assignments = Vec::with_capacity(per_point.len());
-        for r in per_point {
-            assignments.push(r?);
-        }
-        build_hierarchy(
-            padded.len(),
-            levels.len(),
-            |level, p| Ok(assignments[p][level].clone()),
-            |level| self.params.edge_weight(level),
-            |level| self.params.tail_weight(level),
-        )
-    }
-}
-
-/// Which bucket failed to cover `p` (diagnostic for coverage errors).
-fn failing_bucket(level: &HybridLevel, p: &[f64]) -> usize {
-    let m = level.bucket_dim();
-    for (j, seq) in level.sequences().iter().enumerate() {
-        if seq.first_covering(&p[j * m..(j + 1) * m]).is_none() {
-            return j;
-        }
-    }
-    0
 }
 
 /// The Arora random-shifted-grid embedder (the `O(log² n)`-distortion
@@ -342,6 +245,7 @@ impl GridEmbedder {
 mod tests {
     use super::*;
     use treeemb_geom::{generators, metrics};
+    use treeemb_partition::fuzzing::assign;
 
     fn small_set() -> PointSet {
         generators::uniform_cube(40, 8, 256, 11)
@@ -442,9 +346,16 @@ mod tests {
         let e = SeqEmbedder::new(params);
         for seed in [1u64, 7, 42] {
             let padded = ps.zero_pad(e.params.dim);
-            let levels = e.build_levels(seed);
+            let levels = e.params.build_levels(seed);
             let packed = e.packed_hierarchy(&padded, &levels, 1).unwrap();
-            let exact = e.exact_hierarchy(&padded, &levels, 1).unwrap();
+            let exact = build_hierarchy(
+                padded.len(),
+                levels.len(),
+                |level, p| Ok(assign(&levels[level], padded.point(p)).expect("covered")),
+                |level| e.params.edge_weight(level),
+                |level| e.params.tail_weight(level),
+            )
+            .unwrap();
             assert_eq!(packed.num_nodes(), exact.num_nodes(), "seed {seed}");
             for i in 0..ps.len() {
                 for j in (i + 1)..ps.len() {

@@ -38,22 +38,7 @@ impl BallGrid {
 
     /// Derives the shift from a counter stream.
     pub fn from_seed(dim: usize, cell: f64, radius: f64, seed: u64) -> Self {
-        let shift = (0..dim)
-            .map(|j| random::unit_f64(seed, j as u64) * cell)
-            .collect();
-        Self::new(cell, radius, shift)
-    }
-
-    /// Ball radius `w`.
-    #[must_use]
-    pub fn radius(&self) -> f64 {
-        self.radius
-    }
-
-    /// Lattice cell length `ℓ`.
-    #[must_use]
-    pub fn cell(&self) -> f64 {
-        self.cell
+        Self::new(cell, radius, seeded_shift(dim, cell, seed).collect())
     }
 
     /// Dimension.
@@ -90,26 +75,21 @@ impl BallGrid {
     }
 }
 
-/// Assignment of a point under a grid sequence: the index of the first
-/// covering grid and the lattice coordinates of the covering ball.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct BallAssignment {
-    /// Index of the first grid whose ball covers the point.
-    pub grid_index: u32,
-    /// Lattice coordinates of the covering ball within that grid.
-    pub cell: Vec<i64>,
+/// The shift of a grid of cell length `cell` drawn from the counter
+/// stream `seed`: coordinate `j` is `unit_f64(seed, j)·cell`.
+fn seeded_shift(dim: usize, cell: f64, seed: u64) -> impl Iterator<Item = f64> {
+    (0..dim).map(move |j| random::unit_f64(seed, j as u64) * cell)
 }
 
 /// An ordered sequence of independently shifted ball grids at one scale
 /// (the output of `BuildGrids`).
 ///
-/// Besides the per-grid [`BallGrid`] objects (the broadcastable form),
-/// the sequence keeps every shift in one flat structure-of-arrays buffer
-/// so the first-covering-grid scan walks memory linearly instead of
-/// chasing one heap allocation per grid.
+/// Every shift lives in one flat buffer, so the first-covering-grid scan
+/// walks memory linearly; grid `u` is the [`BallGrid`] that
+/// [`BallGrid::from_seed`] derives from the stream `mix2(seed, u)`.
 #[derive(Debug, Clone)]
 pub struct GridSequence {
-    grids: Vec<BallGrid>,
+    count: usize,
     dim: usize,
     cell: f64,
     inv_cell: f64,
@@ -139,28 +119,27 @@ impl GridSequence {
         seed: u64,
     ) -> Self {
         assert!(count > 0, "need at least one grid");
+        assert!(w > 0.0, "scales must be positive");
         assert!(factor >= 2.0, "balls must stay disjoint (factor >= 2)");
-        let grids: Vec<BallGrid> = (0..count)
-            .map(|u| BallGrid::from_seed(dim, factor * w, w, random::mix2(seed, u as u64)))
-            .collect();
+        let cell = factor * w;
         let mut shifts = Vec::with_capacity(count * dim);
-        for g in &grids {
-            shifts.extend_from_slice(g.shift());
+        for u in 0..count {
+            shifts.extend(seeded_shift(dim, cell, random::mix2(seed, u as u64)));
         }
         Self {
+            count,
             dim,
-            cell: grids[0].cell(),
-            inv_cell: 1.0 / grids[0].cell(),
-            radius: grids[0].radius(),
+            cell,
+            inv_cell: 1.0 / cell,
+            radius: w,
             shifts,
-            grids,
         }
     }
 
     /// Number of grids (`U`).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.grids.len()
+        self.count
     }
 
     /// True when the sequence holds no grids. The constructors reject
@@ -168,7 +147,7 @@ impl GridSequence {
     /// exists to satisfy the `len`/`is_empty` API convention.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.grids.is_empty()
+        self.count == 0
     }
 
     /// Ball radius `w` of the sequence.
@@ -177,16 +156,23 @@ impl GridSequence {
         self.radius
     }
 
-    /// The grids, in priority order.
+    /// The grids, in priority order, rebuilt from the shift buffer.
     #[must_use]
-    pub fn grids(&self) -> &[BallGrid] {
-        &self.grids
+    pub fn grids(&self) -> Vec<BallGrid> {
+        (0..self.count)
+            .map(|u| BallGrid::new(self.cell, self.radius, self.shift(u).to_vec()))
+            .collect()
+    }
+
+    /// Grid `u`'s shift.
+    fn shift(&self, u: usize) -> &[f64] {
+        &self.shifts[u * self.dim..(u + 1) * self.dim]
     }
 
     /// Index of the first grid whose ball covers `p`, scanning the flat
     /// shift buffer cache-linearly. Shares `ball_of`'s arithmetic
     /// exactly (reciprocal multiply, same operation order), so it agrees
-    /// with [`Self::assign`] bit for bit.
+    /// with a per-grid [`BallGrid::ball_of`] scan bit for bit.
     #[must_use]
     pub fn first_covering(&self, p: &[f64]) -> Option<u32> {
         debug_assert_eq!(p.len(), self.dim);
@@ -214,66 +200,24 @@ impl GridSequence {
     /// returned by [`Self::first_covering`]) without allocating. Must
     /// only be called for a covering grid.
     pub fn covering_cell(&self, u: u32, p: &[f64], mut emit: impl FnMut(i64)) {
-        let shift = &self.shifts[u as usize * self.dim..(u as usize + 1) * self.dim];
-        for (x, s) in p.iter().zip(shift) {
+        for (x, s) in p.iter().zip(self.shift(u as usize)) {
             let m = ((x - s) * self.inv_cell).round();
             emit(m as i64);
         }
-    }
-
-    /// Assigns `p` to the first covering ball, or `None` if no grid in
-    /// the sequence covers it (a coverage failure; see Lemma 7 for how
-    /// large `U` must be to make this improbable).
-    pub fn assign(&self, p: &[f64]) -> Option<BallAssignment> {
-        let u = self.first_covering(p)?;
-        let mut cell = Vec::with_capacity(self.dim);
-        self.covering_cell(u, p, |c| cell.push(c));
-        Some(BallAssignment {
-            grid_index: u,
-            cell,
-        })
     }
 
     /// Words of memory this sequence occupies when broadcast in MPC
     /// (one shift vector per grid).
     #[must_use]
     pub fn words(&self) -> usize {
-        self.grids.iter().map(|g| g.dim() + 2).sum()
+        self.count * (self.dim + 2)
     }
-}
-
-/// Paper-name alias for [`GridSequence::build`]: Algorithm 1's
-/// `BuildGrids(P^{(j)}, r, U)` subroutine builds the grid sequence a
-/// bucket's ball partitioning draws from.
-pub fn build_grids(dim: usize, w: f64, u: usize, seed: u64) -> GridSequence {
-    GridSequence::build(dim, w, u, seed)
-}
-
-/// Paper-name alias for sequence assignment: Algorithm 1's
-/// `BallPart(P^{(j)}, G)` assigns each projected point to its first
-/// covering ball; `None` entries are coverage failures ("if any ball
-/// partitionings failed, halt and report failure").
-pub fn ball_part(
-    points: &treeemb_geom::PointSet,
-    grids: &GridSequence,
-) -> Vec<Option<BallAssignment>> {
-    points.iter().map(|p| grids.assign(p)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn build_grids_and_ball_part_paper_aliases() {
-        let ps = treeemb_geom::PointSet::from_rows(&[vec![1.0, 2.0], vec![50.0, 9.0]]);
-        let grids = build_grids(2, 2.0, 100, 5);
-        let assignments = ball_part(&ps, &grids);
-        assert_eq!(assignments.len(), 2);
-        for (i, a) in assignments.iter().enumerate() {
-            assert_eq!(*a, grids.assign(ps.point(i)));
-        }
-    }
+    use crate::fuzzing::assign_ball;
 
     #[test]
     fn ball_of_detects_coverage() {
@@ -303,7 +247,7 @@ mod tests {
     fn sequence_assign_prefers_earliest_grid() {
         let seq = GridSequence::build(2, 1.0, 50, 123);
         let p = [10.3, -4.7];
-        if let Some(a) = seq.assign(&p) {
+        if let Some(a) = assign_ball(&seq, &p) {
             // Every earlier grid must not cover p.
             for u in 0..a.grid_index {
                 assert!(seq.grids()[u as usize].ball_of(&p).is_none());
@@ -319,7 +263,7 @@ mod tests {
         let seq = GridSequence::build(2, 2.0, 100, 7);
         for i in 0..100 {
             let p = [i as f64 * 1.37, (i * i % 19) as f64];
-            assert!(seq.assign(&p).is_some(), "point {i} uncovered");
+            assert!(assign_ball(&seq, &p).is_some(), "point {i} uncovered");
         }
     }
 
@@ -347,7 +291,7 @@ mod tests {
         let seq = GridSequence::build(3, 5.0, 200, 99);
         let p = [1.0, 2.0, 3.0];
         let q = [1.05, 2.0, 3.0];
-        let (ap, aq) = (seq.assign(&p), seq.assign(&q));
+        let (ap, aq) = (assign_ball(&seq, &p), assign_ball(&seq, &q));
         if let (Some(ap), Some(aq)) = (ap, aq) {
             if ap.grid_index == aq.grid_index {
                 assert_eq!(
@@ -356,6 +300,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn grids_follow_the_seeded_derivation() {
+        let (dim, w, factor, count, seed) = (3, 1.5, 2.5, 40, 77);
+        let seq = GridSequence::build_with_cell_factor(dim, w, factor, count, seed);
+        let grids = seq.grids();
+        assert_eq!(grids.len(), count);
+        for (u, g) in grids.iter().enumerate() {
+            let expect = BallGrid::from_seed(dim, factor * w, w, random::mix2(seed, u as u64));
+            assert_eq!(*g, expect, "grid {u}");
+        }
+        assert_eq!(seq.words(), count * (dim + 2));
     }
 
     #[test]

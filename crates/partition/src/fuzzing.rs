@@ -1,12 +1,21 @@
-//! Fuzz harness for the packed-key vs exact-key partition parity
-//! contract (the exact path behind `SeqEmbedder::embed_exact_keys`).
+//! The exact partition oracle, and the fuzz harness that checks the
+//! production keying path against it.
+//!
+//! The oracle materializes what [`HybridLevel::key_into`] only streams.
+//! [`assign_ball`] tests a sequence's grids one
+//! [`BallGrid::ball_of`](crate::ball::BallGrid::ball_of) at a time and
+//! returns the first covering ball; [`assign`] collects one
+//! [`BallAssignment`] per bucket into a [`LevelAssignment`] (Definition
+//! 3: two points share a partition iff their assignments are equal);
+//! [`LevelAssignment::absorb_into`] folds an assignment into a
+//! structural-hash chain over the tokens `key_into` emits.
 //!
 //! [`check_packed_vs_exact`] decodes an arbitrary byte string into a
 //! hybrid-level geometry plus a batch of points and asserts, at the bit
-//! level, that the allocation-free [`HybridLevel::assign_packed`] /
-//! [`HybridLevel::absorb_assignment_into`] hot paths agree with the
-//! materialized [`HybridLevel::assign`] exact path. Any disagreement
-//! panics, which the fuzzer (and the corpus replay test in
+//! level, that [`HybridLevel::key_into`] and [`HybridLevel::key`] agree
+//! with the oracle: the same coverage decisions down to the first
+//! uncovered bucket, the same hash chains and the same grouping. Any
+//! disagreement panics, which the fuzzer (and the corpus replay test in
 //! `tests/fuzz_corpus.rs`) reports as a failure.
 //!
 //! The same function backs the `packed_vs_exact` cargo-fuzz target
@@ -29,8 +38,71 @@
 //! ranges mirror the `packed_and_exact_keys_induce_identical_partitions`
 //! proptest family, whose generator seeds the initial corpus.
 
+use crate::ball::GridSequence;
 use crate::hybrid::HybridLevel;
 use crate::ids::StructuralHash;
+
+/// A point's exact assignment under a grid sequence: the index of the
+/// first covering grid and the lattice coordinates of its ball.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct BallAssignment {
+    /// Index of the first grid whose ball covers the point.
+    pub grid_index: u32,
+    /// Lattice coordinates of the covering ball within that grid.
+    pub cell: Vec<i64>,
+}
+
+impl BallAssignment {
+    /// Folds this assignment into a structural hash chain: `0xBA11`,
+    /// the grid index, the cell coordinates, then the terminator `0xE4D`.
+    pub fn absorb_into(&self, h: StructuralHash) -> StructuralHash {
+        let h = h.absorb(0xBA11).absorb(u64::from(self.grid_index));
+        self.cell
+            .iter()
+            .fold(h, |h, &c| h.absorb_i64(c))
+            .absorb(0xE4D)
+    }
+}
+
+/// A point's exact assignment at one hybrid level: its ball assignment
+/// in each of the `r` buckets, in bucket order.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct LevelAssignment {
+    /// Per-bucket ball assignments, in bucket order.
+    pub buckets: Vec<BallAssignment>,
+}
+
+impl LevelAssignment {
+    /// Folds every bucket's assignment into a structural hash chain.
+    pub fn absorb_into(&self, h: StructuralHash) -> StructuralHash {
+        self.buckets.iter().fold(h, |h, a| a.absorb_into(h))
+    }
+}
+
+/// The first ball of `seq` that covers `p`, found by testing one
+/// [`crate::ball::BallGrid`] at a time, or `None` if no grid covers it.
+pub fn assign_ball(seq: &GridSequence, p: &[f64]) -> Option<BallAssignment> {
+    seq.grids().iter().enumerate().find_map(|(u, g)| {
+        g.ball_of(p).map(|cell| BallAssignment {
+            grid_index: u as u32,
+            cell,
+        })
+    })
+}
+
+/// `p`'s exact hybrid partition at `level`, or `None` if some bucket's
+/// grid sequence leaves it uncovered.
+pub fn assign(level: &HybridLevel, p: &[f64]) -> Option<LevelAssignment> {
+    assert_eq!(p.len(), level.dim(), "point dimension mismatch");
+    let projections = p.chunks_exact(level.bucket_dim());
+    let buckets = level
+        .sequences()
+        .iter()
+        .zip(projections)
+        .map(|(seq, proj)| assign_ball(seq, proj))
+        .collect::<Option<_>>()?;
+    Some(LevelAssignment { buckets })
+}
 
 /// Max points decoded per input: enough for all-pairs grouping checks,
 /// small enough to keep per-exec cost flat.
@@ -84,26 +156,43 @@ pub fn decode(data: &[u8]) -> Option<FuzzCase> {
     })
 }
 
-/// The parity oracle: panics iff the packed hot paths disagree with the
-/// exact path on the decoded case. Returns the number of points checked
-/// (0 when the input is too short), so replay harnesses can assert the
-/// corpus actually exercises the oracle.
+/// The parity check: panics iff [`HybridLevel::key_into`] or
+/// [`HybridLevel::key`] disagrees with the exact oracle on the decoded
+/// case. Returns the number of points checked (0 when the input is too
+/// short), so replay harnesses can assert the corpus actually exercises
+/// the check.
 pub fn check_packed_vs_exact(data: &[u8]) -> usize {
     let Some(case) = decode(data) else {
         return 0;
     };
     let dim = case.r * case.bucket_dim;
     let lvl = HybridLevel::new(dim, case.r, case.w, 40, case.seed);
-    let exact: Vec<_> = case.points.iter().map(|p| lvl.assign(p)).collect();
-    let packed: Vec<_> = case.points.iter().map(|p| lvl.assign_packed(p)).collect();
-    for (i, (e, k)) in exact.iter().zip(&packed).enumerate() {
-        // Covering decisions must agree exactly.
+    let exact: Vec<_> = case.points.iter().map(|p| assign(&lvl, p)).collect();
+    let packed: Vec<_> = case.points.iter().map(|p| lvl.key(p)).collect();
+    for (i, (p, (e, k))) in case
+        .points
+        .iter()
+        .zip(exact.iter().zip(&packed))
+        .enumerate()
+    {
+        // Covering decisions must agree exactly, down to the first
+        // bucket the oracle finds uncovered.
+        let first_uncovered = lvl
+            .sequences()
+            .iter()
+            .zip(p.chunks_exact(case.bucket_dim))
+            .position(|(seq, proj)| assign_ball(seq, proj).is_none());
+        assert_eq!(
+            k.err(),
+            first_uncovered,
+            "point {i}: key and oracle disagree on the first uncovered bucket"
+        );
         assert_eq!(
             e.is_some(),
-            k.is_some(),
+            k.is_ok(),
             "point {i}: exact and packed disagree on coverage"
         );
-        let (Some(e), Some(k)) = (e, k) else { continue };
+        let (Some(e), Ok(k)) = (e, k) else { continue };
         // The packed key's low lane IS the structural chain over the
         // exact assignment's token stream — bit-identical, not merely
         // collision-free.
@@ -113,14 +202,14 @@ pub fn check_packed_vs_exact(data: &[u8]) -> usize {
             chain.value(),
             "point {i}: packed low lane diverged from the exact chain"
         );
-        // And the streaming node-id fold must produce the same chain.
-        let folded = lvl
-            .absorb_assignment_into(&case.points[i], StructuralHash::root())
-            .expect("covered point must fold");
+        // And the streamed node-id fold must produce the same chain.
+        let mut folded = StructuralHash::root();
+        lvl.key_into(p, |t| folded = folded.absorb(t))
+            .expect("covered point must key");
         assert_eq!(
             folded.value(),
             chain.value(),
-            "point {i}: absorb_assignment_into diverged from the exact chain"
+            "point {i}: key_into diverged from the exact chain"
         );
     }
     // Grouping parity: packed keys partition the batch exactly as the

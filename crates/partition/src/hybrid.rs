@@ -7,8 +7,8 @@
 //! partitioning (`r = 1`) and random shifted grids (`r = d` with radius
 //! `ℓ/2`).
 
-use crate::ball::{BallAssignment, BallGrid, GridSequence};
-use crate::ids::{PackedHasher, PackedLevelKey, StructuralHash};
+use crate::ball::GridSequence;
+use crate::ids::{PackedHasher, PackedLevelKey};
 use treeemb_linalg::random::mix2;
 
 /// One scale ("level") of hybrid partitioning over `R^d`.
@@ -17,9 +17,9 @@ use treeemb_linalg::random::mix2;
 /// use treeemb_partition::HybridLevel;
 /// // d = 4 dimensions in r = 2 buckets, ball radius w = 2.
 /// let level = HybridLevel::new(4, 2, 2.0, 200, 42);
-/// let a = level.assign(&[1.0, 1.0, 5.0, 5.0]);
-/// let b = level.assign(&[1.1, 1.0, 5.0, 5.0]); // 0.1 away
-/// if let (Some(a), Some(b)) = (a, b) {
+/// let a = level.key(&[1.0, 1.0, 5.0, 5.0]);
+/// let b = level.key(&[1.1, 1.0, 5.0, 5.0]); // 0.1 away
+/// if let (Ok(a), Ok(b)) = (a, b) {
 ///     // Same partition implies within the diameter bound.
 ///     if a == b {
 ///         assert!(0.1 <= level.diameter_bound());
@@ -33,26 +33,6 @@ pub struct HybridLevel {
     bucket_dim: usize,
     w: f64,
     sequences: Vec<GridSequence>,
-}
-
-/// A point's assignment at one hybrid level: its ball assignment in each
-/// of the `r` buckets. Two points are in the same partition iff their
-/// `LevelAssignment`s are equal (Definition 3).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct LevelAssignment {
-    /// Per-bucket ball assignments, in bucket order.
-    pub buckets: Vec<BallAssignment>,
-}
-
-impl LevelAssignment {
-    /// Folds this assignment into a structural hash chain (used to form
-    /// tree-node ids in the MPC embedding).
-    pub fn absorb_into(&self, mut h: StructuralHash) -> StructuralHash {
-        for a in &self.buckets {
-            h = h.absorb_assignment(a);
-        }
-        h
-    }
 }
 
 impl HybridLevel {
@@ -138,61 +118,41 @@ impl HybridLevel {
         2.0 * self.w * (self.r as f64).sqrt()
     }
 
-    /// Assigns a point to its hybrid partition, or `None` if some
-    /// bucket's grid sequence fails to cover it.
+    /// Keys `p` at this level by streaming its hybrid partition into
+    /// `sink`: per bucket, the token `0xBA11`, the index of the first
+    /// grid whose ball covers the bucket's projection, that ball's
+    /// lattice coordinates (as `u64`) and the terminator `0xE4D`. Two
+    /// points share a partition (Definition 3) iff their streams are
+    /// equal.
     ///
-    /// This is the exact-key path: it materializes the per-bucket
-    /// lattice cells. The hot loops should prefer [`Self::assign_packed`]
-    /// (grouping) or [`Self::absorb_assignment_into`] (node-id chains),
-    /// which make the identical covering decisions without allocating.
-    pub fn assign(&self, p: &[f64]) -> Option<LevelAssignment> {
+    /// # Errors
+    /// `Err(j)` for the first bucket `j` whose grid sequence covers no
+    /// ball around `p` (a coverage failure, Lemma 7); the tokens of
+    /// buckets `0..j` have already been streamed.
+    pub fn key_into(&self, p: &[f64], mut sink: impl FnMut(u64)) -> Result<(), usize> {
         assert_eq!(p.len(), self.dim, "point dimension mismatch");
-        let mut buckets = Vec::with_capacity(self.r);
-        for (j, seq) in self.sequences.iter().enumerate() {
-            let lo = j * self.bucket_dim;
-            let hi = lo + self.bucket_dim;
-            buckets.push(seq.assign(&p[lo..hi])?);
+        let projections = p.chunks_exact(self.bucket_dim);
+        for (j, (seq, proj)) in self.sequences.iter().zip(projections).enumerate() {
+            let u = seq.first_covering(proj).ok_or(j)?;
+            sink(0xBA11);
+            sink(u64::from(u));
+            seq.covering_cell(u, proj, |c| sink(c as u64));
+            sink(0xE4D);
         }
-        Some(LevelAssignment { buckets })
+        Ok(())
     }
 
-    /// Allocation-free partition key: hashes the exact token stream of
-    /// `assign(p)`'s [`LevelAssignment`] into a 128-bit
-    /// [`PackedLevelKey`]. Two points get equal keys iff (w.h.p.) their
-    /// exact assignments are equal, so grouping by the packed key
-    /// reproduces the exact grouping.
-    pub fn assign_packed(&self, p: &[f64]) -> Option<PackedLevelKey> {
-        assert_eq!(p.len(), self.dim, "point dimension mismatch");
+    /// [`Self::key_into`] hashed into a 128-bit [`PackedLevelKey`]: two
+    /// points get equal keys iff (w.h.p.) they share a partition, and
+    /// the low lane is the [`crate::ids::StructuralHash::root`] chain
+    /// over the token stream.
+    ///
+    /// # Errors
+    /// The first uncovered bucket, as for [`Self::key_into`].
+    pub fn key(&self, p: &[f64]) -> Result<PackedLevelKey, usize> {
         let mut h = PackedHasher::new();
-        for (j, seq) in self.sequences.iter().enumerate() {
-            let lo = j * self.bucket_dim;
-            let proj = &p[lo..lo + self.bucket_dim];
-            let u = seq.first_covering(proj)?;
-            h.absorb(0xBA11);
-            h.absorb(u as u64);
-            seq.covering_cell(u, proj, |c| h.absorb_i64(c));
-            h.absorb(0xE4D);
-        }
-        Some(h.key())
-    }
-
-    /// Folds `p`'s level assignment into a structural-hash chain with
-    /// exactly the token stream of
-    /// `assign(p).unwrap().absorb_into(h)` — but without materializing
-    /// the assignment. This is the MPC embedder's node-id hot path; the
-    /// resulting ids are bit-identical to the exact path's.
-    pub fn absorb_assignment_into(&self, p: &[f64], h: StructuralHash) -> Option<StructuralHash> {
-        assert_eq!(p.len(), self.dim, "point dimension mismatch");
-        let mut cur = h;
-        for (j, seq) in self.sequences.iter().enumerate() {
-            let lo = j * self.bucket_dim;
-            let proj = &p[lo..lo + self.bucket_dim];
-            let u = seq.first_covering(proj)?;
-            cur = cur.absorb(0xBA11).absorb(u as u64);
-            seq.covering_cell(u, proj, |c| cur = cur.absorb_i64(c));
-            cur = cur.absorb(0xE4D);
-        }
-        Some(cur)
+        self.key_into(p, |t| h.absorb(t))?;
+        Ok(h.key())
     }
 
     /// Total words the level's grids occupy when broadcast (Lemma 8's
@@ -202,56 +162,12 @@ impl HybridLevel {
     }
 }
 
-/// The grid-equivalent degenerate hybrid: `r = d`, one grid per bucket,
-/// balls of radius `cell/2` (which tile each 1-D bucket completely).
-/// Included to demonstrate the `r = d` ⇔ random-shifted-grid claim of
-/// §3 and as the Arora baseline inside the same code path.
-#[derive(Debug, Clone)]
-pub struct GridLikeLevel {
-    grids: Vec<BallGrid>,
-    width: f64,
-}
-
-impl GridLikeLevel {
-    /// One 1-D full-cover ball grid per dimension, cell width `width`.
-    pub fn new(dim: usize, width: f64, seed: u64) -> Self {
-        assert!(width > 0.0);
-        let grids = (0..dim)
-            .map(|j| BallGrid::from_seed(1, width, width / 2.0, mix2(seed, j as u64)))
-            .collect();
-        Self { grids, width }
-    }
-
-    /// Cell width.
-    pub fn width(&self) -> f64 {
-        self.width
-    }
-
-    /// Assigns a point; total coverage means this never returns `None`
-    /// for finite coordinates.
-    pub fn assign(&self, p: &[f64]) -> LevelAssignment {
-        assert_eq!(p.len(), self.grids.len());
-        let buckets = p
-            .iter()
-            .zip(&self.grids)
-            .map(|(x, g)| {
-                let cell = g
-                    .ball_of(std::slice::from_ref(x))
-                    .expect("radius w/2 tiles the line");
-                BallAssignment {
-                    grid_index: 0,
-                    cell,
-                }
-            })
-            .collect();
-        LevelAssignment { buckets }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coverage::grids_needed;
+    use crate::fuzzing::{assign, assign_ball, LevelAssignment};
+    use crate::ids::StructuralHash;
     use treeemb_geom::metrics::dist;
 
     #[test]
@@ -266,7 +182,7 @@ mod tests {
     fn assignment_is_deterministic() {
         let lvl = HybridLevel::new(6, 2, 2.0, 64, 5);
         let p = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        assert_eq!(lvl.assign(&p), lvl.assign(&p));
+        assert_eq!(assign(&lvl, &p), assign(&lvl, &p));
     }
 
     #[test]
@@ -276,7 +192,7 @@ mod tests {
         let lvl = HybridLevel::new(4, 2, 1.0, grids_needed(2, 100, 0.001), 9);
         let p = [0.3, 0.3, 0.0, 0.0];
         let q = [0.3, 0.3, 50.0, 50.0];
-        if let (Some(ap), Some(aq)) = (lvl.assign(&p), lvl.assign(&q)) {
+        if let (Some(ap), Some(aq)) = (assign(&lvl, &p), assign(&lvl, &q)) {
             assert_eq!(
                 ap.buckets[0], aq.buckets[0],
                 "identical first-bucket projections"
@@ -301,7 +217,7 @@ mod tests {
                 (i % 7) as f64,
                 (i % 13) as f64,
             ];
-            if let Some(a) = lvl.assign(&p) {
+            if let Some(a) = assign(&lvl, &p) {
                 groups.entry(a).or_default().push(p);
             }
         }
@@ -319,47 +235,9 @@ mod tests {
     fn r_equals_one_is_plain_ball_partitioning() {
         let lvl = HybridLevel::new(3, 1, 2.0, 128, 13);
         let p = [1.0, 2.0, 3.0];
-        let direct = lvl.sequences()[0].assign(&p);
-        let hybrid = lvl
-            .assign(&p)
-            .map(|a| a.buckets.into_iter().next().unwrap());
+        let direct = assign_ball(&lvl.sequences()[0], &p);
+        let hybrid = assign(&lvl, &p).map(|a| a.buckets.into_iter().next().unwrap());
         assert_eq!(direct, hybrid);
-    }
-
-    #[test]
-    fn grid_like_level_always_covers() {
-        let lvl = GridLikeLevel::new(5, 2.0, 3);
-        let a = lvl.assign(&[0.1, -7.3, 100.0, 2.5, 0.0]);
-        assert_eq!(a.buckets.len(), 5);
-    }
-
-    #[test]
-    fn grid_like_matches_shifted_grid_grouping() {
-        // The r = d, radius w/2 hybrid induces the same partition as some
-        // shifted grid: verify grouping consistency on many random pairs.
-        use treeemb_linalg::random::unit_f64;
-        let w = 1.0;
-        let lvl = GridLikeLevel::new(2, w, 77);
-        for t in 0..500u64 {
-            let p = [unit_f64(1, t) * 10.0, unit_f64(2, t) * 10.0];
-            let q = [
-                p[0] + unit_f64(3, t) * 0.4 - 0.2,
-                p[1] + unit_f64(4, t) * 0.4 - 0.2,
-            ];
-            let same = lvl.assign(&p) == lvl.assign(&q);
-            // Same iff per-axis nearest-vertex matches; cross-check with
-            // an explicit interval computation per axis.
-            let mut expect = true;
-            for axis in 0..2 {
-                let g = &lvl.grids[axis];
-                let cp = g.ball_of(&[p[axis]]).unwrap();
-                let cq = g.ball_of(&[q[axis]]).unwrap();
-                if cp != cq {
-                    expect = false;
-                }
-            }
-            assert_eq!(same, expect, "trial {t}");
-        }
     }
 
     #[test]
@@ -375,8 +253,8 @@ mod tests {
                 ]
             })
             .collect();
-        let exact: Vec<_> = points.iter().map(|p| lvl.assign(p)).collect();
-        let packed: Vec<_> = points.iter().map(|p| lvl.assign_packed(p)).collect();
+        let exact: Vec<_> = points.iter().map(|p| assign(&lvl, p)).collect();
+        let packed: Vec<_> = points.iter().map(|p| lvl.key(p).ok()).collect();
         for (e, k) in exact.iter().zip(&packed) {
             assert_eq!(e.is_some(), k.is_some(), "coverage must agree");
         }
@@ -406,10 +284,26 @@ mod tests {
                 2.0,
                 (i % 4) as f64,
             ];
-            let exact = lvl.assign(&p).map(|a| a.absorb_into(h0));
-            let streamed = lvl.absorb_assignment_into(&p, h0);
+            let exact = assign(&lvl, &p).map(|a| a.absorb_into(h0));
+            let mut h = h0;
+            let streamed = lvl.key_into(&p, |t| h = h.absorb(t)).ok().map(|()| h);
             assert_eq!(exact, streamed, "point {i}");
         }
+    }
+
+    #[test]
+    fn key_reports_the_first_uncovered_bucket() {
+        // One grid per bucket: bucket 0's projection sits on a ball
+        // centre, bucket 1's on a cell centre (2w·√2 > w from every
+        // vertex), so bucket 1 is the first to fail.
+        let lvl = HybridLevel::new(6, 3, 1.0, 1, 23);
+        let s0 = lvl.sequences()[0].grids()[0].shift().to_vec();
+        let s1 = lvl.sequences()[1].grids()[0].shift().to_vec();
+        let p = [s0[0], s0[1], s1[0] + 2.0, s1[1] + 2.0, 0.0, 0.0];
+        let mut tokens = Vec::new();
+        assert_eq!(lvl.key_into(&p, |t| tokens.push(t)), Err(1));
+        assert_eq!(tokens, [0xBA11, 0, 0, 0, 0xE4D], "bucket 0 streams first");
+        assert_eq!(lvl.key(&p), Err(1));
     }
 
     #[test]
@@ -427,7 +321,7 @@ mod tests {
         let mut missed = false;
         for i in 0..200 {
             let p = [i as f64 * 0.37, i as f64 * 0.73, i as f64 * 0.11];
-            if lvl.assign(&p).is_none() {
+            if lvl.key(&p).is_err() {
                 missed = true;
                 break;
             }

@@ -11,7 +11,6 @@
 //! collision probability is `≲ n²log²Δ / 2^64`, far below the
 //! `1/poly(n)` failure budget Theorem 1 already tolerates.
 
-use crate::ball::BallAssignment;
 use treeemb_linalg::random::mix2;
 
 /// Running structural hash (Fowler–Noll–Vo-style chaining over the
@@ -37,15 +36,6 @@ impl StructuralHash {
         self.absorb(token as u64)
     }
 
-    /// Absorbs a ball assignment (grid index + lattice cell).
-    pub fn absorb_assignment(self, a: &BallAssignment) -> Self {
-        let mut h = self.absorb(0xBA11).absorb(a.grid_index as u64);
-        for &c in &a.cell {
-            h = h.absorb_i64(c);
-        }
-        h.absorb(0xE4D) // assignment terminator
-    }
-
     /// The digest.
     #[must_use]
     pub fn value(self) -> u64 {
@@ -63,8 +53,9 @@ pub const PACKED_HI_ROOT: u64 = 0x5041_434B_4C4B_4559; // "PACKLKEY"
 /// structural-hash lanes over the same token stream, giving ~128 bits of
 /// collision resistance. Two points receive equal keys iff (w.h.p.)
 /// their exact per-bucket ball assignments are equal, so grouping by
-/// `PackedLevelKey` reproduces the exact `LevelAssignment` grouping
-/// without materializing per-bucket `Vec<i64>` cells.
+/// `PackedLevelKey` reproduces the exact
+/// [`crate::fuzzing::LevelAssignment`] grouping without materializing
+/// per-bucket `Vec<i64>` cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PackedLevelKey {
     /// Low lane: the [`StructuralHash::root`] chain.
@@ -105,12 +96,6 @@ impl PackedHasher {
         self.hi = self.hi.absorb(token);
     }
 
-    /// Absorbs a signed lattice coordinate into both lanes.
-    #[inline]
-    pub fn absorb_i64(&mut self, token: i64) {
-        self.absorb(token as u64);
-    }
-
     /// The 128-bit digest.
     #[must_use]
     pub fn key(&self) -> PackedLevelKey {
@@ -124,6 +109,7 @@ impl PackedHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzzing::BallAssignment;
 
     fn asg(grid: u32, cell: &[i64]) -> BallAssignment {
         BallAssignment {
@@ -134,26 +120,22 @@ mod tests {
 
     #[test]
     fn equal_structures_hash_equal() {
-        let a = StructuralHash::root()
-            .absorb(3)
-            .absorb_assignment(&asg(1, &[2, -5]));
-        let b = StructuralHash::root()
-            .absorb(3)
-            .absorb_assignment(&asg(1, &[2, -5]));
+        let a = asg(1, &[2, -5]).absorb_into(StructuralHash::root().absorb(3));
+        let b = asg(1, &[2, -5]).absorb_into(StructuralHash::root().absorb(3));
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_grid_indices_differ() {
-        let a = StructuralHash::root().absorb_assignment(&asg(1, &[0]));
-        let b = StructuralHash::root().absorb_assignment(&asg(2, &[0]));
+        let a = asg(1, &[0]).absorb_into(StructuralHash::root());
+        let b = asg(2, &[0]).absorb_into(StructuralHash::root());
         assert_ne!(a, b);
     }
 
     #[test]
     fn coordinate_order_matters() {
-        let a = StructuralHash::root().absorb_assignment(&asg(0, &[1, 2]));
-        let b = StructuralHash::root().absorb_assignment(&asg(0, &[2, 1]));
+        let a = asg(0, &[1, 2]).absorb_into(StructuralHash::root());
+        let b = asg(0, &[2, 1]).absorb_into(StructuralHash::root());
         assert_ne!(a, b);
     }
 
@@ -166,8 +148,8 @@ mod tests {
 
     #[test]
     fn negative_coordinates_are_distinct() {
-        let a = StructuralHash::root().absorb_assignment(&asg(0, &[-1]));
-        let b = StructuralHash::root().absorb_assignment(&asg(0, &[1]));
+        let a = asg(0, &[-1]).absorb_into(StructuralHash::root());
+        let b = asg(0, &[1]).absorb_into(StructuralHash::root());
         assert_ne!(a, b);
     }
 
@@ -176,7 +158,7 @@ mod tests {
         let mut p = PackedHasher::new();
         p.absorb(0xBA11);
         p.absorb(7);
-        p.absorb_i64(-3);
+        p.absorb(-3i64 as u64);
         p.absorb(0xE4D);
         let single = StructuralHash::root()
             .absorb(0xBA11)
@@ -198,10 +180,8 @@ mod tests {
     fn no_trivial_length_extension_confusion() {
         // [1] followed by [2] vs [1, 2] in one assignment: the END marker
         // separates assignments.
-        let a = StructuralHash::root()
-            .absorb_assignment(&asg(0, &[1]))
-            .absorb_assignment(&asg(0, &[2]));
-        let b = StructuralHash::root().absorb_assignment(&asg(0, &[1, 2]));
+        let a = asg(0, &[2]).absorb_into(asg(0, &[1]).absorb_into(StructuralHash::root()));
+        let b = asg(0, &[1, 2]).absorb_into(StructuralHash::root());
         assert_ne!(a, b);
     }
 }

@@ -17,6 +17,8 @@
 //!   `2^{Θ((d/r)·log(d/r))}` while the cut probability stays
 //!   `O(√d·‖p−q‖/w)` — independent of `r` (Lemma 1).
 //!
+//! [`HybridLevel::key_into`] is the one way to key a point at a level;
+//! [`fuzzing`] holds the exact oracle it is checked against.
 //! [`coverage`] quantifies the number of grids needed (Lemmas 6/7) and
 //! [`stats`] estimates cut probabilities and partition diameters
 //! empirically (the E4/E6 experiments).
@@ -29,7 +31,7 @@ pub mod hybrid;
 pub mod ids;
 pub mod stats;
 
-pub use ball::{BallAssignment, GridSequence};
+pub use ball::GridSequence;
 pub use grid::ShiftedGrid;
-pub use hybrid::{HybridLevel, LevelAssignment};
+pub use hybrid::HybridLevel;
 pub use ids::{PackedHasher, PackedLevelKey, StructuralHash};

@@ -32,8 +32,8 @@ pub fn hybrid_cut_probability(
     let mut cuts = 0usize;
     for t in 0..trials {
         let lvl = HybridLevel::new(d, r, w, grids_per_bucket, mix2(seed, t as u64));
-        match (lvl.assign(p), lvl.assign(q)) {
-            (Some(a), Some(b)) if a == b => {}
+        match (lvl.key(p), lvl.key(q)) {
+            (Ok(a), Ok(b)) if a == b => {}
             _ => cuts += 1,
         }
     }
@@ -68,8 +68,8 @@ pub fn lemma1_bound(d: usize, dist: f64, w: f64) -> f64 {
 pub fn empirical_partition_diameter(points: &[Vec<f64>], level: &HybridLevel) -> f64 {
     let mut groups: std::collections::HashMap<_, Vec<usize>> = std::collections::HashMap::new();
     for (i, p) in points.iter().enumerate() {
-        if let Some(a) = level.assign(p) {
-            groups.entry(a).or_default().push(i);
+        if let Ok(key) = level.key(p) {
+            groups.entry(key).or_default().push(i);
         }
     }
     let mut worst: f64 = 0.0;

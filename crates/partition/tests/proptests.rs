@@ -4,11 +4,12 @@
 //! Case count defaults to 64 (fast, every CI run); set
 //! `TREEEMB_PROPTEST_CASES=2048` (or higher) for the promoted nightly
 //! sweep — in particular the packed-key vs exact-key partition parity
-//! property, which guards the `assign_packed` hot path.
+//! property, which guards the `HybridLevel::key` hot path.
 
 use proptest::prelude::*;
 use treeemb_geom::metrics::dist;
 use treeemb_partition::ball::{BallGrid, GridSequence};
+use treeemb_partition::fuzzing::{assign, assign_ball};
 use treeemb_partition::grid::ShiftedGrid;
 use treeemb_partition::hybrid::HybridLevel;
 
@@ -70,7 +71,7 @@ proptest! {
         y in -100f64..100.0,
     ) {
         let seq = GridSequence::build(2, 2.0, 40, seed);
-        if let Some(a) = seq.assign(&[x, y]) {
+        if let Some(a) = assign_ball(&seq, &[x, y]) {
             for u in 0..a.grid_index as usize {
                 prop_assert!(
                     seq.grids()[u].ball_of(&[x, y]).is_none(),
@@ -104,11 +105,11 @@ proptest! {
         // ball assignments of the projections.
         let lvl = HybridLevel::new(6, 3, 5.0, 200, seed);
         let p: Vec<f64> = coords;
-        if let Some(a) = lvl.assign(&p) {
+        if let Some(a) = assign(&lvl, &p) {
             prop_assert_eq!(a.buckets.len(), 3);
             for (j, seq) in lvl.sequences().iter().enumerate() {
                 let proj = &p[j * 2..(j + 1) * 2];
-                let direct = seq.assign(proj).expect("bucket covered in hybrid");
+                let direct = assign_ball(seq, proj).expect("bucket covered in hybrid");
                 prop_assert_eq!(&a.buckets[j], &direct);
             }
         }
@@ -135,8 +136,8 @@ proptest! {
                 .collect()
         };
         let pts: Vec<Vec<f64>> = (0..12).map(point).collect();
-        let exact: Vec<_> = pts.iter().map(|p| lvl.assign(p)).collect();
-        let packed: Vec<_> = pts.iter().map(|p| lvl.assign_packed(p)).collect();
+        let exact: Vec<_> = pts.iter().map(|p| assign(&lvl, p)).collect();
+        let packed: Vec<_> = pts.iter().map(|p| lvl.key(p).ok()).collect();
         for (e, k) in exact.iter().zip(&packed) {
             prop_assert_eq!(e.is_some(), k.is_some());
         }
@@ -157,6 +158,6 @@ proptest! {
     ) {
         // In 1-D with cell = 2w, every point is within w of some vertex.
         let seq = GridSequence::build_with_cell_factor(1, w, 2.0, 1, seed);
-        prop_assert!(seq.assign(&[x]).is_some());
+        prop_assert!(assign_ball(&seq, &[x]).is_some());
     }
 }

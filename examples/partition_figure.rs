@@ -71,9 +71,7 @@ fn main() {
     println!(
         "{}",
         raster(side, res, |p| {
-            hybrid
-                .assign(&[p[0], p[1], 0.5, 0.0])
-                .map(|a| a.absorb_into(StructuralHash::root()).value())
+            hybrid.key(&[p[0], p[1], 0.5, 0.0]).ok().map(|k| k.lo)
         })
     );
 }

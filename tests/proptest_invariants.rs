@@ -16,6 +16,7 @@ use treeemb::core::params::HybridParams;
 use treeemb::core::seq::SeqEmbedder;
 use treeemb::geom::{metrics, PointSet};
 use treeemb::linalg::wht;
+use treeemb::partition::fuzzing::assign;
 use treeemb::partition::hybrid::HybridLevel;
 
 /// Strategy: a small integer point set in [1, 64]^d with d in 2..=6.
@@ -86,7 +87,7 @@ proptest! {
         let points: Vec<[f64; 4]> = coords.iter().map(|&(a, b, c, d)| [a, b, c, d]).collect();
         let mut groups: std::collections::HashMap<_, Vec<usize>> = std::collections::HashMap::new();
         for (i, p) in points.iter().enumerate() {
-            if let Some(a) = level.assign(p) {
+            if let Some(a) = assign(&level, p) {
                 groups.entry(a).or_default().push(i);
             }
         }
