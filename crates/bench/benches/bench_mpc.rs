@@ -1,29 +1,13 @@
 //! Criterion benches for the MPC substrate primitives.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use treeemb_mpc::primitives::{aggregate, broadcast, shuffle, sort};
+use criterion::{criterion_group, criterion_main, Criterion};
+use treeemb_mpc::primitives::{aggregate, broadcast, shuffle};
 use treeemb_mpc::{MpcConfig, Runtime};
 
 fn rt(machines: usize) -> Runtime {
     Runtime::builder()
         .config(MpcConfig::explicit(1 << 20, 1 << 14, machines).with_threads(4))
         .build()
-}
-
-fn bench_sort(c: &mut Criterion) {
-    let mut g = c.benchmark_group("mpc_sort");
-    g.sample_size(20);
-    for n in [10_000usize, 100_000] {
-        let data: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E3779B9)).collect();
-        g.bench_with_input(BenchmarkId::new("sample_sort", n), &data, |b, data| {
-            b.iter(|| {
-                let mut rt = rt(32);
-                let dist = rt.distribute(data.clone()).unwrap();
-                sort::sort_by_key(&mut rt, dist, |x| *x).unwrap()
-            });
-        });
-    }
-    g.finish();
 }
 
 fn bench_shuffle(c: &mut Criterion) {
@@ -61,5 +45,5 @@ fn bench_reduce_broadcast(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_sort, bench_shuffle, bench_reduce_broadcast);
+criterion_group!(benches, bench_shuffle, bench_reduce_broadcast);
 criterion_main!(benches);

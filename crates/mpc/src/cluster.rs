@@ -166,11 +166,6 @@ impl Runtime {
         self.cfg.num_machines
     }
 
-    /// The active round-checkpoint policy.
-    pub fn checkpoint_policy(&self) -> CheckpointPolicy {
-        self.checkpoint
-    }
-
     /// Minimum effective per-machine capacity across the cluster at the
     /// current round: the smallest [`Runtime::capacity_of`] over
     /// `0..num_machines` (configured capacity after heterogeneous
@@ -207,11 +202,6 @@ impl Runtime {
     /// Metrics accumulated so far.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Clears accumulated metrics (e.g. between pipeline stages).
-    pub fn reset_metrics(&mut self) {
-        self.metrics = Metrics::new();
     }
 
     /// The attached fault plan, if any.

@@ -148,19 +148,6 @@ impl MpcConfig {
             .map_or(self.capacity_words, |&(_, w)| w)
     }
 
-    /// The smallest configured capacity of any machine — what
-    /// capacity-driven sizing (fan-outs, chunking) must plan for on a
-    /// heterogeneous cluster.
-    pub fn min_capacity_words(&self) -> usize {
-        if self.machine_capacities.is_empty() {
-            return self.capacity_words;
-        }
-        (0..self.num_machines)
-            .map(|m| self.capacity_of(m))
-            .min()
-            .unwrap_or(self.capacity_words)
-    }
-
     /// Total space of the cluster in words (`Σ` per-machine capacity;
     /// `M · s` for a homogeneous cluster).
     pub fn total_space_words(&self) -> usize {
@@ -464,7 +451,6 @@ mod tests {
         assert_eq!(cfg.capacity_of(0), 10);
         assert_eq!(cfg.capacity_of(1), 20);
         assert_eq!(cfg.capacity_of(2), 4);
-        assert_eq!(cfg.min_capacity_words(), 4);
         assert_eq!(cfg.total_space_words(), 10 + 20 + 4 + 10);
     }
 

@@ -23,8 +23,8 @@
 //!
 //! On top of the raw [`cluster::Runtime::round`] primitive, the
 //! [`primitives`] module provides the classic O(1)-round building blocks
-//! the paper's algorithms assume: broadcast trees, sample-sort,
-//! aggregation trees, hash shuffles, and distributed deduplication.
+//! the paper's algorithms assume: broadcast trees, aggregation trees,
+//! hash shuffles, hash joins, and distributed deduplication.
 //!
 //! ```
 //! use treeemb_mpc::cluster::Runtime;
@@ -35,11 +35,13 @@
 //!     .machines(16)
 //!     .threads(2)
 //!     .build();
-//! let data: Vec<u64> = (0..1000).collect();
+//! let data: Vec<u64> = (0..1000).map(|i| i % 100).collect();
 //! let dist = rt.distribute(data).unwrap();
-//! let sorted = treeemb_mpc::primitives::sort::sort_by_key(&mut rt, dist, |x| *x).unwrap();
-//! assert!(rt.metrics().rounds() <= 8);
-//! assert_eq!(rt.gather(sorted), (0..1000).collect::<Vec<u64>>());
+//! let distinct = treeemb_mpc::primitives::shuffle::dedup_by_key(&mut rt, dist, |x| *x).unwrap();
+//! assert_eq!(rt.metrics().rounds(), 1);
+//! let mut keys = rt.gather(distinct);
+//! keys.sort_unstable();
+//! assert_eq!(keys, (0..100).collect::<Vec<u64>>());
 //! ```
 
 #![warn(missing_docs)]

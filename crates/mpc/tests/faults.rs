@@ -9,7 +9,7 @@
 use std::sync::{Mutex, MutexGuard};
 use treeemb_mpc::error::CapacityPhase;
 use treeemb_mpc::fault::{FaultEvent, FaultKind, FaultPlan, FaultRates, FaultSpec};
-use treeemb_mpc::primitives::{broadcast, sort};
+use treeemb_mpc::primitives::{broadcast, shuffle};
 use treeemb_mpc::{Dist, MpcConfig, MpcError, Runtime};
 
 fn test_lock() -> MutexGuard<'static, ()> {
@@ -27,16 +27,18 @@ fn rt_with(threads: usize, plan: Option<FaultPlan>) -> Runtime {
     builder.build()
 }
 
-/// Runs sample-sort over a fixed input and returns (sorted output,
-/// fault log, per-round attempts).
-fn sort_run(threads: usize, plan: Option<FaultPlan>) -> (Vec<u64>, Vec<FaultEvent>, Vec<u32>) {
+/// Deduplicates a fixed input, folds the distinct values into per-decade
+/// sums (two shuffle rounds), and returns (output, fault log, per-round
+/// attempts).
+fn shuffle_run(threads: usize, plan: Option<FaultPlan>) -> (Vec<u64>, Vec<FaultEvent>, Vec<u32>) {
     let mut rt = rt_with(threads, plan);
     let input: Vec<u64> = (0..600u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9) % 1000)
         .collect();
     let dist = rt.distribute(input).unwrap();
-    let sorted = sort::sort_by_key(&mut rt, dist, |x| *x).unwrap();
-    let out = rt.gather(sorted);
+    let distinct = shuffle::dedup_by_key(&mut rt, dist, |x| *x).unwrap();
+    let sums = shuffle::group_fold(&mut rt, distinct, |x| x / 10, |_, g| g.iter().sum()).unwrap();
+    let out = rt.gather(sums);
     let attempts = rt
         .metrics()
         .round_stats()
@@ -64,9 +66,9 @@ fn noisy_plan(seed: u64) -> FaultPlan {
 }
 
 #[test]
-fn retryable_faults_leave_sorted_output_bit_identical() {
+fn retryable_faults_leave_output_bit_identical() {
     let _g = test_lock();
-    let (clean, clean_log, _) = sort_run(4, None);
+    let (clean, clean_log, _) = shuffle_run(4, None);
     assert!(clean_log.is_empty());
     // Background rates plus one scheduled drop so at least one exchange
     // retry is guaranteed regardless of where the seeded faults land.
@@ -76,7 +78,7 @@ fn retryable_faults_leave_sorted_output_bit_identical() {
         src: 0,
         msg_index: 0,
     });
-    let (faulted, log, attempts) = sort_run(4, Some(plan));
+    let (faulted, log, attempts) = shuffle_run(4, Some(plan));
     assert_eq!(faulted, clean, "retryable faults must not change output");
     assert!(
         !log.is_empty(),
@@ -91,13 +93,13 @@ fn retryable_faults_leave_sorted_output_bit_identical() {
 #[test]
 fn fault_log_and_outcome_identical_across_runs_and_thread_counts() {
     let _g = test_lock();
-    let (out1, log1, att1) = sort_run(4, Some(noisy_plan(99)));
-    let (out2, log2, att2) = sort_run(4, Some(noisy_plan(99)));
+    let (out1, log1, att1) = shuffle_run(4, Some(noisy_plan(99)));
+    let (out2, log2, att2) = shuffle_run(4, Some(noisy_plan(99)));
     assert_eq!(out1, out2);
     assert_eq!(log1, log2, "same plan + seed must replay identically");
     assert_eq!(att1, att2);
     for threads in [1, 2, 7] {
-        let (out_t, log_t, att_t) = sort_run(threads, Some(noisy_plan(99)));
+        let (out_t, log_t, att_t) = shuffle_run(threads, Some(noisy_plan(99)));
         assert_eq!(out_t, out1, "threads={threads} changed the output");
         assert_eq!(log_t, log1, "threads={threads} changed the fault log");
         assert_eq!(att_t, att1, "threads={threads} changed retry counts");
@@ -107,8 +109,8 @@ fn fault_log_and_outcome_identical_across_runs_and_thread_counts() {
 #[test]
 fn different_seeds_give_different_fault_sequences() {
     let _g = test_lock();
-    let (_, log_a, _) = sort_run(2, Some(noisy_plan(1)));
-    let (_, log_b, _) = sort_run(2, Some(noisy_plan(2)));
+    let (_, log_a, _) = shuffle_run(2, Some(noisy_plan(1)));
+    let (_, log_b, _) = shuffle_run(2, Some(noisy_plan(2)));
     assert_ne!(log_a, log_b);
 }
 
@@ -262,10 +264,10 @@ fn replayed_event_log_reproduces_the_identical_fault_sequence() {
     let _g = test_lock();
     // Run a seeded plan, reconstruct an explicit plan from its event
     // log, and replay: the explicit plan must fire the same faults.
-    let (out_seeded, log_seeded, _) = sort_run(2, Some(noisy_plan(123)));
+    let (out_seeded, log_seeded, _) = shuffle_run(2, Some(noisy_plan(123)));
     let explicit = FaultPlan::from_events(&log_seeded, 12, 1_000_000);
     assert!(explicit.rates.is_zero());
-    let (out_explicit, log_explicit, _) = sort_run(2, Some(explicit));
+    let (out_explicit, log_explicit, _) = shuffle_run(2, Some(explicit));
     assert_eq!(out_explicit, out_seeded);
     let non_backoff = |log: &[FaultEvent]| -> Vec<FaultEvent> {
         log.iter()
@@ -317,8 +319,8 @@ fn fault_events_appear_in_the_trace() {
 #[test]
 fn empty_plan_changes_nothing_and_logs_nothing() {
     let _g = test_lock();
-    let (clean, _, att_clean) = sort_run(2, None);
-    let (armed, log, att_armed) = sort_run(2, Some(FaultPlan::new(42)));
+    let (clean, _, att_clean) = shuffle_run(2, None);
+    let (armed, log, att_armed) = shuffle_run(2, Some(FaultPlan::new(42)));
     assert_eq!(clean, armed);
     assert!(log.is_empty());
     assert_eq!(att_clean, att_armed);

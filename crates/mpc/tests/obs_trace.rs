@@ -64,15 +64,15 @@ fn round_spans_carry_word_counters_and_nest_under_primitives() {
         .config(MpcConfig::explicit(1 << 12, 256, 8).with_threads(4))
         .build();
     let dist = rt.distribute((0..64u64).collect()).unwrap();
-    let sorted = treeemb_mpc::primitives::sort::sort_by_key(&mut rt, dist, |x| *x).unwrap();
-    assert_eq!(rt.gather(sorted).len(), 64);
+    let distinct = treeemb_mpc::primitives::shuffle::dedup_by_key(&mut rt, dist, |x| *x).unwrap();
+    assert_eq!(rt.gather(distinct).len(), 64);
     treeemb_obs::capture_stop();
     let events = treeemb_obs::drain();
 
-    let sort_span = events
+    let dedup_span = events
         .iter()
-        .find(|e| e.name == "mpc.sort")
-        .expect("mpc.sort span");
+        .find(|e| e.name == "mpc.dedup")
+        .expect("mpc.dedup span");
     let round_spans: Vec<_> = events
         .iter()
         .filter(|e| e.name.starts_with("mpc.round:"))
@@ -87,11 +87,12 @@ fn round_spans_carry_word_counters_and_nest_under_primitives() {
                 r.name
             );
         }
-        // Rounds belonging to the sort nest strictly inside its span.
-        if r.name.contains("sort") {
-            assert!(r.depth > sort_span.depth);
-            assert!(r.start_ns >= sort_span.start_ns);
-            assert!(r.start_ns + r.dur_ns <= sort_span.start_ns + sort_span.dur_ns);
+        // Rounds belonging to the dedup (its inner shuffle) nest
+        // strictly inside its span.
+        if r.name.contains("shuffle") {
+            assert!(r.depth > dedup_span.depth);
+            assert!(r.start_ns >= dedup_span.start_ns);
+            assert!(r.start_ns + r.dur_ns <= dedup_span.start_ns + dedup_span.dur_ns);
         }
     }
     // Round spans and metrics agree on attribution: the span-side word

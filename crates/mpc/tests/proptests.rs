@@ -2,7 +2,7 @@
 //! every input* and *deterministic under any thread count*.
 
 use proptest::prelude::*;
-use treeemb_mpc::primitives::{aggregate, shuffle, sort};
+use treeemb_mpc::primitives::{aggregate, shuffle};
 use treeemb_mpc::{MpcConfig, Runtime};
 
 fn runtime(cap: usize, machines: usize, threads: usize) -> Runtime {
@@ -13,35 +13,6 @@ fn runtime(cap: usize, machines: usize, threads: usize) -> Runtime {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn sort_matches_std_sort(
-        data in proptest::collection::vec(0u64..1_000_000, 0..600),
-        machines in 1usize..40,
-    ) {
-        let mut rt = runtime(1024, machines, 4);
-        let dist = rt.distribute(data.clone()).unwrap();
-        let sorted = sort::sort_by_key(&mut rt, dist, |x| *x).unwrap();
-        let got = rt.gather(sorted);
-        let mut expect = data;
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn two_level_sort_matches_std_sort(
-        data in proptest::collection::vec(0u64..100_000, 0..500),
-        machines in 60usize..140,
-    ) {
-        // Capacity 100 < 2*machines forces the two-level path.
-        let mut rt = runtime(100, machines, 4);
-        let dist = rt.distribute(data.clone()).unwrap();
-        let sorted = sort::sort_two_level(&mut rt, dist, |x| *x).unwrap();
-        let got = rt.gather(sorted);
-        let mut expect = data;
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-    }
 
     #[test]
     fn shuffle_preserves_multiset(
@@ -81,9 +52,9 @@ proptest! {
             let mut rt = runtime(2048, machines, threads);
             let dist = rt.distribute(data.clone()).unwrap();
             let shuffled = shuffle::shuffle_by_key(&mut rt, dist, |x| x / 3).unwrap();
-            let sorted = sort::sort_by_key(&mut rt, shuffled, |x| *x).unwrap();
+            let distinct = shuffle::dedup_by_key(&mut rt, shuffled, |x| *x).unwrap();
             // Shard boundaries AND contents must be identical.
-            let parts: Vec<Vec<u64>> = sorted.parts().to_vec();
+            let parts: Vec<Vec<u64>> = distinct.parts().to_vec();
             (parts, rt.metrics().rounds(), rt.metrics().total_sent_words())
         };
         let a = run(1);

@@ -8,7 +8,6 @@
 //! * partition diameter: points sharing a hybrid partition at scale `w`
 //!   are within `2√r·w` (Lemma 1, second part);
 //! * the normalized WHT is an involution and an isometry;
-//! * MPC sample-sort sorts, exactly;
 //! * grid/ball assignments are shift-consistent.
 
 use proptest::prelude::*;
@@ -114,19 +113,6 @@ proptest! {
         for (a, b) in padded.iter().zip(&original) {
             prop_assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()));
         }
-    }
-
-    #[test]
-    fn mpc_sort_sorts_exactly(data in proptest::collection::vec(0u64..1_000_000, 0..500)) {
-        use treeemb::mpc::{MpcConfig, Runtime};
-        use treeemb::mpc::primitives::sort;
-        let mut rt = Runtime::builder().config(MpcConfig::explicit(1 << 12, 256, 12).with_threads(2)).build();
-        let dist = rt.distribute(data.clone()).unwrap();
-        let sorted = sort::sort_by_key(&mut rt, dist, |x| *x).unwrap();
-        let got = rt.gather(sorted);
-        let mut expect = data;
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
     }
 
     #[test]
